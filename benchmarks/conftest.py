@@ -1,10 +1,14 @@
 """Shared infrastructure for the benchmark harness.
 
 Every benchmark module reproduces one table or figure of the paper.
-Reproduced tables are printed to stdout *and* written to
-``benchmarks/results/<name>.txt`` so they survive pytest's output
-capture; run ``pytest benchmarks/ --benchmark-only`` and inspect that
-directory (or add ``-s`` to watch them scroll by).
+Deterministic tables (the paper's Tables 1-3 and Figures 2-8, ablation
+objectives) are printed to stdout *and* written to
+``benchmarks/results/<name>.txt`` with :func:`emit`, so they are
+committed and a diff shows when a reproduced number moves.  Tables
+with a wall-clock column go through :func:`show` instead: printed,
+never written, since their numbers change on every run and machine
+(performance figures live in the ``perfbench/`` ledger).  Add ``-s``
+to watch the tables scroll by.
 """
 
 from __future__ import annotations
@@ -22,11 +26,16 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def emit(name: str, text: str) -> None:
-    """Print a reproduced table and persist it under results/."""
+    """Print a deterministic reproduced table and persist it under results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
+
+
+def show(name: str, text: str) -> None:
+    """Print a table with a wall-clock column; it is never written."""
+    print(f"\n{text}\n[{name}: timing table, printed only]")
 
 
 @pytest.fixture(scope="session")

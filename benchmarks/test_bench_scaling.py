@@ -21,7 +21,7 @@ from repro.data.normalize import normalize_unit_cube
 from repro.data.synthetic import sample_monotone_cloud
 from repro.geometry import cubic_from_interior_points
 
-from conftest import emit, format_table
+from conftest import format_table, show
 
 
 def _one_iteration_time(n: int, d: int, repeats: int = 3) -> float:
@@ -52,7 +52,7 @@ def test_scaling_in_n(benchmark):
         [n, f"{times[n] * 1e3:.2f}", f"{times[n] / n * 1e6:.3f}"]
         for n in sizes
     ]
-    emit(
+    show(
         "scaling_n",
         format_table(
             ["n objects", "per-iteration ms", "microseconds per object"],
@@ -78,7 +78,7 @@ def test_scaling_in_d(benchmark):
     )
 
     rows = [[d, f"{times[d] * 1e3:.2f}"] for d in dims]
-    emit(
+    show(
         "scaling_d",
         format_table(
             ["d attributes", "per-iteration ms"],

@@ -8,8 +8,8 @@ replacements on the scaling suite's reference size (n=3200, d=4):
 * the projection engine (squared-distance polynomials compiled once,
   every solver iteration a batched Horner evaluation) must beat the
   pre-engine GSS path — Bernstein rebuild + ``P @ basis`` matmul per
-  iteration — by at least 3x, with scores agreeing to 1e-8
-  (``serving_engine.txt``; also the CI perf-smoke gate);
+  iteration — by at least 3x, with scores agreeing to 1e-8 (also the
+  CI perf-smoke gate);
 * the batched ``"roots"`` solver (one stacked ``eigvals`` call) must be
   no slower than the seed's per-point loop — in practice it is an order
   of magnitude faster;
@@ -17,8 +17,8 @@ replacements on the scaling suite's reference size (n=3200, d=4):
   must be no slower than the cold grid-scan path it replaces inside
   the fit loop.
 
-Numbers land in ``benchmarks/results/serving_projection.txt`` and
-siblings.
+The tables are printed (run with ``-s``), not written: their numbers
+are wall-clock timings.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.data.synthetic import sample_monotone_cloud
 from repro.geometry.cubic import cubic_from_interior_points
 from repro.linalg.polyroots import minimize_polynomial_on_interval
 
-from conftest import emit, format_table
+from conftest import format_table, show
 
 N_OBJECTS = 3200
 DIMENSION = 4
@@ -88,7 +88,7 @@ def test_engine_vs_legacy_gss(projection_workload, benchmark):
     agreement = float(np.max(np.abs(s_engine - s_legacy)))
     agreement_roots = float(np.max(np.abs(s_engine - s_roots)))
 
-    emit(
+    show(
         "serving_engine",
         format_table(
             ["path", "ms (best-of)", "speedup vs legacy"],
@@ -139,7 +139,7 @@ def test_batched_roots_vs_seed_per_point_loop(projection_workload, benchmark):
     s_loop = seed_per_point_loop()
     agreement = float(np.max(np.abs(s_batched - s_loop)))
 
-    emit(
+    show(
         "serving_projection",
         format_table(
             ["path", "ms (best-of)", "speedup vs loop"],
@@ -180,7 +180,7 @@ def test_warm_projection_vs_cold(projection_workload, benchmark):
     s_warm = project_points(curve, X, method="gss", s0=s_cold)
     agreement = float(np.max(np.abs(s_warm - s_cold)))
 
-    emit(
+    show(
         "serving_warm_start",
         format_table(
             ["path", "ms (best-of)", "speedup vs cold"],
@@ -237,65 +237,6 @@ def test_score_batch_chunked_overhead(
     assert t_chunked <= t_one_shot * 2.5
 
 
-def test_parallel_chunk_dispatch(projection_workload, fitted_model, benchmark):
-    """``n_jobs=`` threads over chunks: numpy releases the GIL in the
-    projection hot path, so plain threads give real speedup with zero
-    extra memory copies.  Numbers land in
-    ``benchmarks/results/serving_parallel.txt``."""
-    import os
-
-    from repro.serving import score_batch
-
-    _, X_unit = projection_workload
-    model = fitted_model
-    # A serving-sized batch: big enough that per-chunk numpy work
-    # dominates thread dispatch (8 chunks of 4096 rows).
-    X_big = np.tile(X_unit, (32768 // N_OBJECTS + 1, 1))[:32768]
-    chunk = 4096
-
-    t_serial = _best_of(
-        lambda: score_batch(model, X_big, chunk_size=chunk), repeats=3
-    )
-    timings = [("serial (n_jobs=1)", t_serial, None)]
-    for n_jobs in (2, 4):
-        t_par = _best_of(
-            lambda: score_batch(
-                model, X_big, chunk_size=chunk, n_jobs=n_jobs
-            ),
-            repeats=3,
-        )
-        timings.append((f"threads (n_jobs={n_jobs})", t_par, n_jobs))
-    benchmark(
-        lambda: score_batch(model, X_big, chunk_size=chunk, n_jobs=4)
-    )
-
-    s_serial = score_batch(model, X_big, chunk_size=chunk)
-    s_parallel = score_batch(model, X_big, chunk_size=chunk, n_jobs=4)
-    identical = bool(np.array_equal(s_serial, s_parallel))
-
-    rows = [
-        [label, f"{t * 1e3:.2f}", f"{t_serial / t:.2f}x"]
-        for label, t, _ in timings
-    ]
-    rows.append(["agreement (bit-identical)", str(identical), ""])
-    emit(
-        "serving_parallel",
-        format_table(
-            ["path", "ms (best-of)", "speedup vs serial"],
-            rows,
-            f"Parallel chunk dispatch, n={X_big.shape[0]}, d={DIMENSION}, "
-            f"chunk={chunk}, cores={os.cpu_count()}",
-        ),
-    )
-
-    assert identical
-    # Threads must never cost real throughput; on multi-core boxes the
-    # 4-thread path is typically 2x+ faster, but CI runners can be
-    # 2-core, so the hard bound is only "no regression" with slack.
-    t_best_parallel = min(t for _, t, n in timings if n is not None)
-    assert t_best_parallel <= t_serial * 1.25
-
-
 def test_external_sort_rank_vs_in_memory(
     fitted_model, tmp_path_factory, benchmark
 ):
@@ -307,8 +248,7 @@ def test_external_sort_rank_vs_in_memory(
     parsing and projection).  The budget here forces real spills (8
     runs) and the second variant forces multi-pass merging under an
     open-file budget of 3.  Output files must be byte-identical in all
-    three cases.  Numbers land in
-    ``benchmarks/results/serving_extsort.txt``.
+    three cases.
     """
     from repro.core.scoring import build_ranking_list
     from repro.data.loaders import load_csv, save_csv, save_ranking_csv
@@ -354,7 +294,7 @@ def test_external_sort_rank_vs_in_memory(
         and multi_out.read_bytes() == mem_out.read_bytes()
     )
 
-    emit(
+    show(
         "serving_extsort",
         format_table(
             ["path", "ms (best-of)", "vs in-memory"],

@@ -1,21 +1,14 @@
-"""Native-backend serving performance: closed-form roots and float32.
+"""Closed-form stationary roots vs the eigvals reference.
 
-PR 8 replaces the stacked companion-matrix ``eigvals`` call on the
-``"roots"`` serving path with an analytic solver (quadratic/cubic/
-Ferrari closed forms underneath monotone-interval isolation) and adds
-an opt-in float32 scoring mode.  Two artifacts:
-
-* ``serving_native_roots.txt`` — the CI perf gate: closed-form roots
-  must never be slower than the eigvals reference, with the speedup
-  on the root-solve itself recorded (not asserted — CI boxes are
-  noisy 2-core machines; containers typically land in the 2-3x
-  range, and the shared clip/polish/argmin overhead common to both
-  paths bounds the measurable end-to-end ratio);
-* ``serving_native.txt`` — the backend x dtype x n matrix for the
-  end-to-end ``"roots"`` projection, agreement pinned per row.
-
-Run with the optional numba package installed and the ``numba`` rows
-appear automatically (``available_backend_names`` discovers it).
+The ``"roots"`` serving path can replace the stacked companion-matrix
+``eigvals`` call with an analytic solver (quadratic/cubic/Ferrari
+closed forms underneath monotone-interval isolation).  This is the CI
+perf gate: closed-form roots must never be slower than the eigvals
+reference, with the speedup on the root-solve itself recorded (not
+asserted — CI boxes are noisy 2-core machines; containers typically
+land in the 2-3x range, and the shared clip/polish/argmin overhead
+common to both paths bounds the measurable end-to-end ratio).  The
+table is printed, not written: its numbers are wall-clock timings.
 """
 
 from __future__ import annotations
@@ -30,19 +23,13 @@ from repro.data.normalize import normalize_unit_cube
 from repro.data.synthetic import sample_monotone_cloud
 from repro.geometry.cubic import cubic_from_interior_points
 from repro.geometry.engine import ProjectionEngine
-from repro.linalg.backend import available_backend_names
 from repro.linalg.closedform import closed_form_stationary_roots
 from repro.linalg.polyroots import batched_minimize_on_interval
 
-from conftest import emit, format_table
+from conftest import format_table, show
 
 N_OBJECTS = 3200
 DIMENSION = 4
-
-#: float32 agreement contract (same convention as the test suite):
-#: scores match to ~1e-3 unless two basins tie at float32 resolution.
-S_ATOL32 = 1e-3
-DIST_ATOL32 = 1e-2
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +96,7 @@ def test_closed_form_roots_gate(projection_workload, benchmark):
         ~disagrees
     ) else 0.0
 
-    emit(
+    show(
         "serving_native_roots",
         format_table(
             ["path", "ms (best-of)", "speedup vs eigvals"],
@@ -149,54 +136,3 @@ def test_closed_form_roots_gate(projection_workload, benchmark):
     # solve runs 2-3x faster).
     assert t_cf_solve <= t_eig_solve
     assert t_cf <= t_eig * 1.1
-
-
-def test_backend_dtype_matrix(projection_workload):
-    """The serving_native.txt artifact: backend x dtype x n."""
-    curve, X_full = projection_workload
-    reference = {}
-    rows = []
-    for n in (800, N_OBJECTS):
-        X = X_full[:n]
-        s_ref = project_points(curve, X, method="roots")
-        compiled = ProjectionEngine(curve).compile(X)
-        d_ref = compiled.distance(s_ref)
-        t_ref = _best_of(lambda X=X: project_points(curve, X, method="roots"))
-        reference[n] = t_ref
-        for backend in available_backend_names():
-            for dtype in ("float64", "float32"):
-                run = lambda X=X, b=backend, dt=dtype: project_points(
-                    curve, X, method="roots", backend=b, dtype=dt
-                )
-                run()  # warm any JIT caches outside the timed region
-                t = _best_of(run)
-                s = run()
-                s_gap = np.abs(s - s_ref)
-                d_gap = np.abs(compiled.distance(s) - d_ref)
-                if dtype == "float64":
-                    bad = (s_gap > 1e-8) & (d_gap > 1e-10)
-                else:
-                    bad = (s_gap > S_ATOL32) & (d_gap > DIST_ATOL32)
-                assert not np.any(bad), (
-                    f"backend {backend} dtype {dtype} n {n}: "
-                    f"{int(bad.sum())} points beyond tolerance"
-                )
-                rows.append(
-                    [
-                        backend,
-                        dtype,
-                        str(n),
-                        f"{t * 1e3:.2f}",
-                        f"{t_ref / t:.2f}x",
-                        f"{float(s_gap[d_gap <= 1e-10].max() if np.any(d_gap <= 1e-10) else 0.0):.1e}",
-                    ]
-                )
-    emit(
-        "serving_native",
-        format_table(
-            ["backend", "dtype", "n", "ms (best-of)", "vs default", "max |ds|"],
-            rows,
-            f"Native-backend scoring matrix, method='roots', d={DIMENSION} "
-            "(vs default = numpy backend, float64, same n)",
-        ),
-    )

@@ -20,16 +20,19 @@ Two measurements pin that contract:
   measured over many iterations, divided by a wall-clock latency —
   because a direct A/B of two HTTP runs at the ~μs scale is noise.
 
-Results land in ``benchmarks/results/serving_obs.txt``; the
-``observability`` CI job runs this module as a blocking check.
+The latency client keeps one ``http.client.HTTPConnection`` per
+tracing mode and asserts every request went over that one socket, so
+the figures are keep-alive latencies.  The tables are printed, not
+written (wall-clock numbers); the ``observability`` CI job runs this
+module as a blocking check.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
-import urllib.request
 import warnings
 
 import numpy as np
@@ -41,7 +44,7 @@ from repro.obs import NULL_TRACE, EngineProfile, Tracer, engineprof
 from repro.server import ModelRegistry, ScoringHTTPServer, ServerMetrics
 from repro.serving import save_model
 
-from conftest import emit, format_table
+from conftest import format_table, show
 
 ALPHA = np.array([1.0, 1.0, -1.0])
 N_REQUESTS = 300
@@ -66,24 +69,32 @@ def _serve(model_file, tracer):
     server = ScoringHTTPServer(("127.0.0.1", 0), registry, tracer=tracer)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    return server, f"http://127.0.0.1:{server.server_address[1]}"
+    return server, server.server_address[1]
 
 
-def _score_p50_ms(base: str, n: int = N_REQUESTS) -> float:
+def _score_p50_ms(port: int, n: int = N_REQUESTS) -> float:
+    """p50 of ``n`` single-row ``/score`` calls over one connection."""
     body = json.dumps({"row": [43.8, 81.1, 4.5]}).encode()
-    url = base + "/v1/models/demo/score"
-    # One warm call (route + model caches), then timed keep-alive hits.
-    urllib.request.urlopen(
-        urllib.request.Request(url, data=body), timeout=10
-    ).read()
-    samples = []
-    for _ in range(n):
-        start = time.perf_counter()
-        with urllib.request.urlopen(
-            urllib.request.Request(url, data=body), timeout=10
-        ) as resp:
+    headers = {"Content-Type": "application/json"}
+    path = "/v1/models/demo/score"
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        # One warm call (route + model caches) opens the socket; every
+        # timed call must reuse it.
+        conn.request("POST", path, body=body, headers=headers)
+        conn.getresponse().read()
+        sock = conn.sock
+        samples = []
+        for _ in range(n):
+            start = time.perf_counter()
+            conn.request("POST", path, body=body, headers=headers)
+            resp = conn.getresponse()
             resp.read()
-        samples.append(time.perf_counter() - start)
+            samples.append(time.perf_counter() - start)
+            assert resp.status == 200
+            assert conn.sock is sock, "server closed the keep-alive socket"
+    finally:
+        conn.close()
     return float(np.percentile(samples, 50) * 1e3)
 
 
@@ -141,9 +152,9 @@ def test_tracing_overhead(model_file):
          Tracer(mode="sampled", sample_every=64)),
         ("always-on (--trace on)", Tracer(mode="on", sample_every=1)),
     ):
-        server, base = _serve(model_file, tracer)
+        server, port = _serve(model_file, tracer)
         try:
-            p50[label] = _score_p50_ms(base)
+            p50[label] = _score_p50_ms(port)
         finally:
             server.shutdown()
             server.server_close()
@@ -175,7 +186,7 @@ def test_tracing_overhead(model_file):
         cost_rows,
         "Per-request observability cost with tracing off (microbenched)",
     )
-    emit("serving_obs", table1 + "\n\n" + table2)
+    show("serving_obs", table1 + "\n\n" + table2)
 
     # The CI gate: with no --trace flag the obs hooks must cost less
     # than 2% of a request.  Microbenched numerator over wall-clock

@@ -17,7 +17,8 @@ are measured:
   ``os.cpu_count() >= 4``; on smaller boxes the run still emits the
   table and enforces no-regression.
 
-Numbers land in ``benchmarks/results/serving_workers.txt``.
+The tables are printed (run with ``-s``), not written: their numbers
+are wall-clock throughputs.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.data.synthetic import sample_monotone_cloud
 from repro.server import MicroBatcher
 from repro.serving import save_model, score_batch
 
-from conftest import emit, format_table
+from conftest import format_table, show
 
 ALPHA = np.array([1.0, 1.0, -1.0])
 N_CLIENTS = 8
@@ -116,7 +117,7 @@ def test_micro_batcher_amortizes_engine_dispatch(saved_model, benchmark):
     # correctness half lives in tests/test_server_batching.py).
     assert stats["batches_executed"] < stats["requests_batched"]
 
-    emit(
+    show(
         "serving_workers",
         format_table(
             ["path", "requests/s", "speedup"],
@@ -138,25 +139,12 @@ def test_micro_batcher_amortizes_engine_dispatch(saved_model, benchmark):
                     "",
                 ],
             ],
-            f"Micro-batcher amortisation, cores={os.cpu_count()} "
-            f"(HTTP fleet table appended below)",
+            f"Micro-batcher amortisation, cores={os.cpu_count()}",
         ),
     )
     # Hard bound: coalescing must never cost throughput (locally it is
     # >2x even on one core; generous slack for loaded CI boxes).
     assert rps_batched >= rps_direct * 0.9
-
-
-def _append_emit(table: str) -> None:
-    """Append a table to the accumulated serving_workers results."""
-    existing = ""
-    results_path = os.path.join(
-        os.path.dirname(__file__), "results", "serving_workers.txt"
-    )
-    if os.path.exists(results_path):
-        with open(results_path) as handle:
-            existing = handle.read().rstrip() + "\n\n"
-    emit("serving_workers", existing + table)
 
 
 def test_adaptive_window_idle_latency_and_saturation(saved_model):
@@ -194,7 +182,8 @@ def test_adaptive_window_idle_latency_and_saturation(saved_model):
         coalesced[policy] = stats["largest_batch_requests"]
         assert stats["batches_executed"] < stats["requests_batched"]
 
-    _append_emit(
+    show(
+        "serving_workers",
         format_table(
             ["policy", "idle p-mean latency", "saturated req/s"],
             [
@@ -319,7 +308,8 @@ def test_worker_fleet_concurrent_small_requests(saved_model):
     single, fleet = rates
     cores = os.cpu_count() or 1
 
-    _append_emit(
+    show(
+        "serving_workers",
         format_table(
             ["daemon", "requests/s", "speedup"],
             [
@@ -397,7 +387,8 @@ def test_overload_shed_rate_under_admission_control(saved_model):
     served, shed, reset = counts[200], counts[429], counts["reset"]
     # Zero silent drops: every offered request resolved explicitly.
     assert served + shed + reset == offered, counts
-    _append_emit(
+    show(
+        "serving_workers",
         format_table(
             ["overload metric", "value", ""],
             [

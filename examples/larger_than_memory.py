@@ -24,7 +24,7 @@ The same flows are available from the shell::
         --memory-budget-rows 100000 --output ranking.csv
 
 Memory model of the ``--rank`` path: peak resident rows =
-``chunk_size * jobs`` (scoring buffer) + ``memory_budget_rows``
+``chunk_size`` (scoring buffer) + ``memory_budget_rows``
 (sorter buffer), plus ``max_open_runs`` open files during the merge;
 spill files live in a temp directory that is removed on success,
 error and Ctrl-C alike.

@@ -79,7 +79,7 @@ def main() -> None:
     registry = ModelRegistry()
     registry.register("wellbeing", model_path)
     registry.register("elmap", elmap_path)
-    server = ScoringHTTPServer(("127.0.0.1", 0), registry, n_jobs=2)
+    server = ScoringHTTPServer(("127.0.0.1", 0), registry)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

@@ -12,7 +12,7 @@ Usage::
         --model model.json
     python -m repro load model.json       # inspect a saved model
     python -m repro score model.json fresh.csv --output ranking.csv
-    python -m repro score model.json huge.csv --stream --jobs 4
+    python -m repro score model.json huge.csv --stream
     python -m repro score model.json huge.csv.gz --stream --top-k 10
     python -m repro score model.json huge.csv.gz --stream --rank \
         --memory-budget-rows 100000 --output ranking.csv
@@ -32,15 +32,18 @@ discarding it — any registered model family (``--family``);
 ``score`` reloads such a model in a fresh process and scores new rows
 with chunked, bounded-memory batch projection — no refitting; with
 ``--stream`` the CSV (gzipped or plain) is read incrementally so
-inputs larger than memory score in ``O(chunk_size)`` space, ``--jobs``
-fans chunks out over worker threads, ``--top-k N`` folds the stream
-into a bounded heap so even the ranking list never materialises, and
+inputs larger than memory score in ``O(chunk_size)`` space,
+``--top-k N`` folds the stream into a bounded heap so even the ranking
+list never materialises, and
 ``--rank`` produces the *complete* ranking through a spill-to-disk
 external merge sort (``--memory-budget-rows`` bounds the buffered
 rows) with output byte-identical to the in-memory path.  ``serve``
 keeps any number of saved models
 resident behind an HTTP daemon (see :mod:`repro.server`) instead of
-paying a process start per scoring run.
+paying a process start per scoring run; its concurrency comes from
+``--workers`` processes and ``--batch-window-ms`` micro-batching.
+Scoring itself is one float64 path on one thread; ``--backend`` only
+picks how the exact stationary roots are found.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from repro.core.exceptions import (
 from repro.core.rpc import RankingPrincipalCurve
 from repro.core.scoring import build_ranking_list
 from repro.data.loaders import load_csv, parse_alpha_spec, save_ranking_csv
-from repro.linalg.backend import BACKEND_CHOICES, SCORE_DTYPE_CHOICES
+from repro.linalg.backend import BACKEND_CHOICES
 from repro.serving.batch import score_batch
 from repro.families import build_model, family_names
 from repro.serving.persistence import check_model_path, load_model, save_model
@@ -187,12 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "input; output is identical to the in-memory path)",
     )
     score.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker threads for chunk dispatch (-1 = all cores)",
-    )
-    score.add_argument(
         "--top-k",
         type=int,
         default=None,
@@ -223,20 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKEND_CHOICES,
         default="auto",
-        help="projection kernel backend: 'auto' (default) picks the "
-        "fastest available (numba if importable, else closed-form), "
-        "'numpy' is the eigenvalue reference, 'closed-form' solves "
-        "stationary polynomials analytically, 'numba' requires the "
-        "optional numba package (see docs/performance.md)",
-    )
-    score.add_argument(
-        "--score-dtype",
-        choices=SCORE_DTYPE_CHOICES,
-        default="float64",
-        dest="score_dtype",
-        help="working precision for the projection solve; 'float32' "
-        "halves memory bandwidth at ~1e-3 score tolerance (output "
-        "scores are always float64; default 'float64')",
+        help="stationary-root solver: 'auto' (default) is "
+        "'closed-form', which solves the stationary polynomials "
+        "analytically; 'numpy' is the eigenvalue reference (see "
+        "docs/performance.md)",
     )
 
     serve = sub.add_parser(
@@ -267,13 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes sharing the listening socket "
         "(pre-fork; default 1 = single-process daemon)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="threads per scoring request for chunk dispatch "
-        "(-1 = all cores; default serial)",
     )
     serve.add_argument(
         "--batch-window-ms",
@@ -402,20 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKEND_CHOICES,
         default="auto",
-        help="projection kernel backend for every scoring request: "
-        "'auto' (default) picks the fastest available, 'numpy' is the "
-        "eigenvalue reference, 'closed-form' solves stationary "
-        "polynomials analytically, 'numba' requires the optional "
-        "numba package (see docs/performance.md)",
-    )
-    serve.add_argument(
-        "--score-dtype",
-        choices=SCORE_DTYPE_CHOICES,
-        default="float64",
-        dest="score_dtype",
-        help="working precision for the projection solve; 'float32' "
-        "halves memory bandwidth at ~1e-3 score tolerance (responses "
-        "stay float64; default 'float64')",
+        help="stationary-root solver for every scoring request: "
+        "'auto' (default) is 'closed-form', which solves the "
+        "stationary polynomials analytically; 'numpy' is the "
+        "eigenvalue reference (see docs/performance.md)",
     )
 
     shard = sub.add_parser(
@@ -609,6 +579,15 @@ def _run_save(args: argparse.Namespace) -> int:
         )
     print(summary)
     print(f"model written to {path}")
+    if trace is not None and not trace.converged:
+        # The fit above silences ConvergenceWarning; say it here so a
+        # model saved from an unfinished fit is never mistaken for one
+        # that converged.  Still exit 0: the model is usable.
+        print(
+            f"warning: fit did not converge after {trace.n_iterations} "
+            f"iterations (final objective {trace.final_objective:.6f})",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -671,9 +650,7 @@ def _run_score(args: argparse.Namespace) -> int:
             args.output,
             chunk_size=args.chunk_size,
             label_column=args.label_column,
-            n_jobs=args.jobs,
             backend=args.backend,
-            dtype=args.score_dtype,
             memory_budget_rows=args.memory_budget_rows,
             head=max(args.top, 0),
         )
@@ -699,9 +676,7 @@ def _run_score(args: argparse.Namespace) -> int:
             args.top_k,
             chunk_size=args.chunk_size,
             label_column=args.label_column,
-            n_jobs=args.jobs,
             backend=args.backend,
-            dtype=args.score_dtype,
         )
         print(
             f"scored {n_rows} objects with saved model {args.model_path} "
@@ -727,9 +702,7 @@ def _run_score(args: argparse.Namespace) -> int:
             args.csv_path,
             chunk_size=args.chunk_size,
             label_column=args.label_column,
-            n_jobs=args.jobs,
             backend=args.backend,
-            dtype=args.score_dtype,
         ):
             labels.extend(chunk_labels)
             score_chunks.append(chunk_scores)
@@ -751,9 +724,7 @@ def _run_score(args: argparse.Namespace) -> int:
             model,
             table.X,
             chunk_size=args.chunk_size,
-            n_jobs=args.jobs,
             backend=args.backend,
-            dtype=args.score_dtype,
         )
     ranking = build_ranking_list(scores, labels=labels)
     print(
@@ -837,7 +808,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             port=args.port,
             workers=args.workers,
             chunk_size=args.chunk_size,
-            n_jobs=args.jobs,
             batch_window=batch_window,
             max_batch_rows=args.max_batch_rows,
             batch_policy=args.batch_policy,
@@ -847,7 +817,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             keepalive_timeout=args.keepalive_timeout,
             tuning_file=args.tuning_file,
             backend=args.backend,
-            score_dtype=args.score_dtype,
             check_mtime=not args.no_reload,
             trace_mode=args.trace,
             trace_sample=args.trace_sample,
@@ -893,7 +862,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         (args.host, args.port),
         registry,
         chunk_size=args.chunk_size,
-        n_jobs=args.jobs,
         batch_window=batch_window,
         max_batch_rows=args.max_batch_rows,
         batch_policy=args.batch_policy,
@@ -902,7 +870,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         retry_after=retry_after,
         keepalive_timeout=args.keepalive_timeout,
         backend=args.backend,
-        score_dtype=args.score_dtype,
         tracer=tracer,
     )
     host, port = server.server_address[:2]

@@ -16,9 +16,8 @@ family must satisfy to flow through those layers instead:
     (rank-compatible: higher score = better object, the convention
     every ranking list in this repo is built on); ``score_batch`` is
     the bounded-memory serving entry point with the
-    ``chunk_size``/``n_jobs``/``backend``/``dtype`` signature the
-    daemon calls.  Families without engine backends accept and ignore
-    ``backend``/``dtype``.
+    ``chunk_size``/``backend`` signature the daemon calls.  Families
+    without engine backends accept and ignore ``backend``.
 
 ``to_payload()`` / ``from_payload(payload)``
     Exact persistence.  ``to_payload`` returns a JSON-serialisable dict
@@ -39,8 +38,7 @@ family must satisfy to flow through those layers instead:
 
 ``accepts_solver_kwargs``
     ``True`` only for families whose ``score_samples`` takes the
-    projection-engine ``backend=``/``dtype=`` keywords (the Bézier
-    curve).  The batch scorer uses this to keep the Bézier hot path
+    projection-engine ``backend=`` keyword (the Bézier curve).  The batch scorer uses this to keep the Bézier hot path
     byte-identical while calling every other family with the plain
     one-argument signature.
 """
@@ -85,9 +83,7 @@ class ScorableModel(Protocol):
         self,
         X: np.ndarray,
         chunk_size: Optional[int] = None,
-        n_jobs: Optional[int] = None,
         backend: Any = None,
-        dtype: Any = None,
     ) -> np.ndarray: ...
 
     @property

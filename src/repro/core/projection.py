@@ -48,7 +48,7 @@ bracketing scan with a narrow bracket centred on each ``s0_i``, plus a
 sparse safeguard scan that detects points whose global basin moved away
 from the warm bracket (those few points are re-projected from scratch).
 This cuts the per-iteration grid-search cost that dominates the
-``O(n)`` term measured in ``benchmarks/results/scaling_n.txt``.
+``O(n)`` term measured by ``benchmarks/test_bench_scaling.py``.
 
 Engine reuse
 ------------
@@ -57,7 +57,7 @@ the curve to power coefficients; callers that project many chunks
 against one fixed curve (the serving paths) should construct a single
 :class:`~repro.geometry.engine.ProjectionEngine` and pass it via the
 ``engine=`` parameter so that per-chunk setup amortises.  The engine is
-immutable, so one instance is safe across ``n_jobs=`` worker threads.
+immutable, so one instance is safe across the daemon's handler threads.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def project_points(
     s0: Optional[np.ndarray] = None,
     engine: Optional[ProjectionEngine] = None,
     backend=None,
-    dtype=None,
 ) -> np.ndarray:
     """Compute projection scores for every row of ``X``.
 
@@ -151,14 +150,10 @@ def project_points(
         built for a *different* curve is ignored and rebuilt — passing
         a stale engine can never change the scores.
     backend:
-        Optional kernel backend (name or
+        Optional root-solver backend (name or
         :class:`~repro.linalg.backend.KernelBackend` instance) for this
         batch; ``None`` keeps the engine's default (the numpy
         reference).  See :mod:`repro.linalg.backend`.
-    dtype:
-        Optional scoring work dtype (``"float32"`` opt-in); ``None``
-        means float64.  Returned scores are float64 regardless — the
-        dtype only controls the solver work vectors.
 
     Returns
     -------
@@ -171,14 +166,13 @@ def project_points(
     X = np.asarray(X, dtype=float)
     if engine is None or engine.curve is not curve:
         engine = ProjectionEngine(curve)
-    compiled = engine.compile(X, backend=backend, dtype=dtype)
+    compiled = engine.compile(X, backend=backend)
     if method == "roots":
-        return _as_scores(compiled.minimize_exact())
+        return compiled.minimize_exact()
     if s0 is not None:
         return _project_warm(
             curve, X, s0, method=method, n_grid=n_grid, tol=tol,
-            engine=engine, compiled=compiled,
-            backend=backend, dtype=dtype,
+            engine=engine, compiled=compiled, backend=backend,
         )
     if method == "gss":
         _, lo, hi = compiled.bracket(n_grid)
@@ -188,17 +182,8 @@ def project_points(
         # always done this) and let the polish do the last digits.
         coarse_tol = max(tol, 1e-4)
         s = compiled.solve_gss(lo, hi, tol=coarse_tol)
-        return _as_scores(compiled.polish(s, half_width=2.0 * coarse_tol))
-    return _as_scores(_project_newton(compiled, n_grid=n_grid, tol=tol))
-
-
-def _as_scores(s: np.ndarray) -> np.ndarray:
-    """Scores are float64 at the API boundary whatever the work dtype.
-
-    A no-op (same array object) on the float64 path, so the historical
-    byte-identity contracts are untouched.
-    """
-    return np.asarray(s, dtype=float)
+        return compiled.polish(s, half_width=2.0 * coarse_tol)
+    return _project_newton(compiled, n_grid=n_grid, tol=tol)
 
 
 def _project_warm(
@@ -211,7 +196,6 @@ def _project_warm(
     engine: ProjectionEngine,
     compiled: CompiledProjection,
     backend=None,
-    dtype=None,
 ) -> np.ndarray:
     """Warm-started projection: narrow brackets around ``s0`` + safeguard.
 
@@ -260,14 +244,14 @@ def _project_warm(
     if np.any(escaped):
         s_cold = project_points(
             curve, X[escaped], method=method, n_grid=n_grid, tol=tol,
-            engine=engine, backend=backend, dtype=dtype,
+            engine=engine, backend=backend,
         )
         d_cold = compiled[escaped].distance(s_cold)
         better = d_cold < d_warm[escaped]
         replacement = s_warm[escaped]
         replacement[better] = s_cold[better]
         s_warm[escaped] = replacement
-    return _as_scores(s_warm)
+    return s_warm
 
 
 def _polish_scores(

@@ -102,8 +102,8 @@ class RankingPrincipalCurve:
     #: A row's score depends only on that row — chunking and
     #: micro-batch coalescing are exact.
     pointwise_scores = True
-    #: ``score_samples`` accepts the engine ``backend=``/``dtype=``
-    #: keywords (the only family that does).
+    #: ``score_samples`` accepts the engine ``backend=`` keyword (the
+    #: only family that does).
     accepts_solver_kwargs = True
 
     def __init__(
@@ -238,19 +238,16 @@ class RankingPrincipalCurve:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def score_samples(
-        self, X: np.ndarray, backend=None, dtype=None
-    ) -> np.ndarray:
+    def score_samples(self, X: np.ndarray, backend=None) -> np.ndarray:
         """Ranking scores in ``[0, 1]`` for raw observations.
 
         New points are normalised with the *training* min/max (so the
         reference corners stay fixed) and projected onto the learned
         curve; the projection index is the score.
 
-        ``backend`` selects the projection kernel backend for this call
+        ``backend`` selects the root-solver backend for this call
         (``None`` = the byte-stable numpy reference; see
-        :mod:`repro.linalg.backend`); ``dtype`` opts the solver work
-        vectors into float32.  Scores come back float64 either way.
+        :mod:`repro.linalg.backend`).
         """
         result = self._require_fit()
         X = self._validate(X)
@@ -263,33 +260,26 @@ class RankingPrincipalCurve:
             n_grid=self.n_grid,
             engine=self._projection_engine(result.curve),
             backend=backend,
-            dtype=dtype,
         )
 
     def score_batch(
         self,
         X: np.ndarray,
         chunk_size: Optional[int] = None,
-        n_jobs: Optional[int] = None,
         backend=None,
-        dtype=None,
     ) -> np.ndarray:
         """Chunked, bounded-memory scoring of arbitrarily large inputs.
 
         Equivalent to :meth:`score_samples` but processes ``X`` in
         chunks of ``chunk_size`` rows so peak memory stays bounded by
         the chunk (the projection step materialises an
-        ``(n, n_grid)`` distance matrix), optionally fanning chunks
-        over ``n_jobs`` worker threads.  ``backend``/``dtype`` as in
+        ``(n, n_grid)`` distance matrix).  ``backend`` as in
         :meth:`score_samples`.  See
         :func:`repro.serving.batch.score_batch` for details.
         """
         from repro.serving.batch import score_batch as _score_batch
 
-        return _score_batch(
-            self, X, chunk_size=chunk_size, n_jobs=n_jobs,
-            backend=backend, dtype=dtype,
-        )
+        return _score_batch(self, X, chunk_size=chunk_size, backend=backend)
 
     def rank(
         self, X: np.ndarray, labels: Optional[Sequence[str]] = None

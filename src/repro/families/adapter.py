@@ -93,25 +93,20 @@ class ModelAdapter:
         self,
         X: np.ndarray,
         chunk_size: Optional[int] = None,
-        n_jobs: Optional[int] = None,
         backend: Any = None,
-        dtype: Any = None,
     ) -> np.ndarray:
         """Serving entry point with the daemon's uniform signature.
 
-        ``backend``/``dtype`` select projection-engine kernels, which
-        only the Bézier family has; they are accepted (so callers need
-        no per-family branches) and ignored here.
+        ``backend`` selects the projection engine's root solver, which
+        only the Bézier family has; it is accepted (so callers need no
+        per-family branches) and ignored here.
         """
         # Imported lazily: repro.serving's persistence module imports
         # repro.families for payload dispatch, so a module-level import
         # here would be circular.
         from repro.serving.batch import score_batch
 
-        return score_batch(
-            self, X, chunk_size=chunk_size, n_jobs=n_jobs,
-            backend=backend, dtype=dtype,
-        )
+        return score_batch(self, X, chunk_size=chunk_size, backend=backend)
 
     # ------------------------------------------------------------------
     # State hooks

@@ -28,8 +28,8 @@ Two-level structure:
   matrix, its first two derivative ladders, and every solver primitive.
 
 A :class:`ProjectionEngine` is immutable after construction and a
-:class:`CompiledProjection` after compilation, so both are safe to
-share across the threaded serving paths (``score_batch(n_jobs=...)``).
+:class:`CompiledProjection` after compilation, so the daemon's handler
+threads can share one engine per model.  All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -40,12 +40,9 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.linalg.backend import (
-    KernelBackend,
-    resolve_backend,
-    resolve_score_dtype,
-)
+from repro.linalg.backend import KernelBackend, resolve_backend
 from repro.linalg.golden_section import golden_section_search_batch
+from repro.linalg.horner import horner_batch, horner_pointwise
 from repro.obs.engineprof import current as _active_profile
 
 
@@ -124,7 +121,7 @@ class ProjectionEngine:
 
     @property
     def backend(self) -> KernelBackend:
-        """The kernel backend compilations default to."""
+        """The root-solver backend compilations default to."""
         return self._backend
 
     @property
@@ -135,15 +132,13 @@ class ProjectionEngine:
     def dimension(self) -> int:
         return self._C.shape[0]
 
-    def compile(
-        self, X: np.ndarray, backend=None, dtype=None
-    ) -> "CompiledProjection":
+    def compile(self, X: np.ndarray, backend=None) -> "CompiledProjection":
         """Bind a data batch, returning its compiled distance polynomials.
 
-        ``backend``/``dtype`` override the engine default per
-        compilation — backend and scoring dtype are properties of a
-        *batch*, not the curve, so the per-model engine cache stays
-        valid whatever mix of requests it serves.
+        ``backend`` overrides the engine default per compilation — the
+        backend is a property of a *batch*, not the curve, so the
+        per-model engine cache stays valid whatever mix of requests it
+        serves.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
@@ -151,18 +146,14 @@ class ProjectionEngine:
                 f"X must have shape (n, {self.dimension}), got {X.shape}"
             )
         backend = self._backend if backend is None else resolve_backend(backend)
-        work_dtype = resolve_score_dtype(dtype)
         prof = _active_profile()
         if prof is not None:
             prof.count(f"backend_{backend.name.replace('-', '_')}_compiles")
-            if work_dtype == np.dtype(np.float32):
-                prof.count("float32_rows", X.shape[0])
         return CompiledProjection(
             squared_distance_coefficients(self._C, X, ff=self._ff),
             X=X,
             C=self._C,
             backend=backend,
-            dtype=work_dtype,
         )
 
 
@@ -180,45 +171,32 @@ class CompiledProjection:
         X: np.ndarray = None,
         C: np.ndarray = None,
         backend=None,
-        dtype=None,
     ):
         self._backend = resolve_backend(backend)
-        self.dtype = resolve_score_dtype(dtype)
-        coeffs = np.atleast_2d(np.asarray(coeffs))
-        if coeffs.dtype != self.dtype:
-            # The polynomials are always *compiled* in float64 (the fit
-            # is float64); float32 is applied here so every solver work
-            # vector below inherits it.
-            coeffs = coeffs.astype(self.dtype)
+        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         self.coeffs = coeffs
         m = coeffs.shape[1]
-        powers = np.arange(1, m, dtype=coeffs.dtype)
+        powers = np.arange(1, m, dtype=float)
         self.dcoeffs = (
-            coeffs[:, 1:] * powers
-            if m > 1
-            else np.zeros((coeffs.shape[0], 1), dtype=coeffs.dtype)
+            coeffs[:, 1:] * powers if m > 1 else np.zeros((coeffs.shape[0], 1))
         )
         self.ddcoeffs = (
             self.dcoeffs[:, 1:] * powers[: m - 2]
             if m > 2
-            else np.zeros((coeffs.shape[0], 1), dtype=coeffs.dtype)
+            else np.zeros((coeffs.shape[0], 1))
         )
         # Optional data/curve views enabling the BLAS grid-scan fast
         # path of :meth:`distance_on_grid`; purely an optimisation, the
         # Horner fallback computes the same distances.
-        if X is not None and np.asarray(X).dtype != self.dtype:
-            X = np.asarray(X).astype(self.dtype)
-        if C is not None and np.asarray(C).dtype != self.dtype:
-            C = np.asarray(C).astype(self.dtype)
-        self._X = X
-        self._C = C
+        self._X = None if X is None else np.asarray(X, dtype=float)
+        self._C = None if C is None else np.asarray(C, dtype=float)
         self._sqnorm = (
             np.sum(X**2, axis=1) if X is not None and C is not None else None
         )
 
     @property
     def backend(self) -> KernelBackend:
-        """The kernel backend this compilation runs on."""
+        """The root-solver backend this compilation runs on."""
         return self._backend
 
     def __len__(self) -> int:
@@ -231,7 +209,6 @@ class CompiledProjection:
             X=self._X[rows] if self._X is not None else None,
             C=self._C,
             backend=self._backend,
-            dtype=self.dtype,
         )
 
     # ------------------------------------------------------------------
@@ -239,7 +216,7 @@ class CompiledProjection:
     # ------------------------------------------------------------------
     def distance(self, s: np.ndarray) -> np.ndarray:
         """``||x_i - f(s_i)||^2`` per row, shape ``(n,)``."""
-        return self._backend.horner_pointwise(self.coeffs, s)
+        return horner_pointwise(self.coeffs, s)
 
     def distance_on_grid(self, grid: np.ndarray) -> np.ndarray:
         """Distances of every row to ``f`` on a shared grid, ``(n, g)``.
@@ -251,11 +228,11 @@ class CompiledProjection:
         over all ``n * g`` entries (row-invariant by construction, see
         :func:`_row_invariant_product`).
         """
-        grid = np.asarray(grid, dtype=self.dtype).ravel()
+        grid = np.asarray(grid, dtype=float).ravel()
         if self._X is None or self._C is None:
-            return self._backend.horner_batch(self.coeffs, grid)
+            return horner_batch(self.coeffs, grid)
         k = self._C.shape[1] - 1
-        Z = np.empty((k + 1, grid.size), dtype=self.dtype)
+        Z = np.empty((k + 1, grid.size))
         Z[0] = 1.0
         for j in range(1, k + 1):
             np.multiply(Z[j - 1], grid, out=Z[j])
@@ -286,7 +263,7 @@ class CompiledProjection:
         # profile is active — see :mod:`repro.obs.engineprof`.
         prof = _active_profile()
         t0 = time.perf_counter() if prof is not None else 0.0
-        grid = np.linspace(lo, hi, n_grid, dtype=self.dtype)
+        grid = np.linspace(lo, hi, n_grid)
         values = self.distance_on_grid(grid)
         best = np.argmin(values, axis=1)
         step = (hi - lo) / (n_grid - 1)
@@ -310,22 +287,19 @@ class CompiledProjection:
     ) -> np.ndarray:
         """Batched GSS on the compiled distances within ``[lo, hi]``.
 
-        Both interior points of every iteration are evaluated in one
-        fused Horner pass (see ``pair_func`` in
-        :func:`golden_section_search_batch`).  Under float32 the
-        convergence tolerance is clamped to a few float32 ulps (an
-        exact no-op for float64 defaults) so already-converged rows
-        don't spin against a sub-resolution threshold.
+        The two initial interior points are evaluated in one fused
+        Horner pass (see ``pair_func`` in
+        :func:`golden_section_search_batch`).
         """
         prof = _active_profile()
         t0 = time.perf_counter() if prof is not None else 0.0
         s_opt, _ = golden_section_search_batch(
             self.distance,
-            np.asarray(lo, dtype=self.dtype),
-            np.asarray(hi, dtype=self.dtype),
-            tol=max(tol, 4.0 * float(np.finfo(self.dtype).eps)),
+            lo,
+            hi,
+            tol=tol,
             max_iter=max_iter,
-            pair_func=lambda cd: self._backend.horner_batch(self.coeffs, cd),
+            pair_func=lambda cd: horner_batch(self.coeffs, cd),
         )
         if prof is not None:
             prof.add_phase("gss", time.perf_counter() - t0, rows=len(self))
@@ -357,17 +331,16 @@ class CompiledProjection:
         prof = _active_profile()
         t0 = time.perf_counter() if prof is not None else 0.0
         iterations = 0
-        tol = max(tol, 4.0 * float(np.finfo(self.dtype).eps))
-        s = np.asarray(s, dtype=self.dtype).copy()
-        lo = np.asarray(lo, dtype=self.dtype)
-        hi = np.asarray(hi, dtype=self.dtype)
+        s = np.asarray(s, dtype=float).copy()
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
         active = np.ones(s.shape, dtype=bool)
         for _ in range(max_iter):
             if not np.any(active):
                 break
             iterations += 1
-            g = self._backend.horner_pointwise(self.dcoeffs, s)
-            dg = self._backend.horner_pointwise(self.ddcoeffs, s)
+            g = horner_pointwise(self.dcoeffs, s)
+            dg = horner_pointwise(self.ddcoeffs, s)
             safe = active & (np.abs(dg) > 1e-14)
             delta = np.zeros_like(s)
             delta[safe] = g[safe] / dg[safe]
@@ -375,7 +348,7 @@ class CompiledProjection:
             active = active & (np.abs(s_new - s) >= tol)
             s = s_new
         candidates = np.stack([s, lo, hi], axis=-1)  # (n, 3)
-        dists = self._backend.horner_batch(self.coeffs, candidates)
+        dists = horner_batch(self.coeffs, candidates)
         pick = np.argmin(dists, axis=1)
         if prof is not None:
             prof.add_phase(
@@ -406,12 +379,12 @@ class CompiledProjection:
         ~1e-8 jitter came from.  The slack admits at most a noise-level
         distance increase, i.e. an ``O(sqrt(eps))``-in-``s`` move.
         """
-        s = np.asarray(s, dtype=self.dtype)
+        s = np.asarray(s, dtype=float)
         lo = np.clip(s - half_width, 0.0, 1.0)
         hi = np.clip(s + half_width, 0.0, 1.0)
         s_new = self.newton_refine(s, lo, hi, tol=tol, max_iter=4)
         d_old = self.distance(s)
-        slack = 64.0 * np.finfo(self.dtype).eps * (1.0 + np.abs(d_old))
+        slack = 64.0 * np.finfo(float).eps * (1.0 + np.abs(d_old))
         improved = self.distance(s_new) <= d_old + slack
         return np.where(improved, s_new, s)
 
@@ -419,17 +392,11 @@ class CompiledProjection:
         """The ``"roots"`` path: exact stationary-point enumeration.
 
         Dispatches to the backend's stationary solver (stacked-eigvals
-        reference or the closed-form/isolation path).  Root finding
-        always runs in float64 — closed-form discriminants are fragile
-        in float32 and the solve is a once-per-batch cost, so the
-        float32 mode only accelerates the iterative solvers.
+        reference or the closed-form/isolation path).
         """
         prof = _active_profile()
         t0 = time.perf_counter() if prof is not None else 0.0
-        coeffs = self.coeffs
-        if coeffs.dtype != np.float64:
-            coeffs = coeffs.astype(np.float64)
-        result = self._backend.minimize_stationary(coeffs, lo, hi)
+        result = self._backend.minimize_stationary(self.coeffs, lo, hi)
         if prof is not None:
             prof.add_phase(
                 "roots", time.perf_counter() - t0, rows=len(self)

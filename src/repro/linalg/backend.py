@@ -1,78 +1,47 @@
-"""Pluggable kernel backends for the projection hot path.
+"""Stationary-point solvers behind ``projection="roots"``.
 
-The projection engine reduces, after compilation, to three kernel
-families: batched Horner evaluation over a shared grid or per-row
-points, pointwise Horner over one ``(n,)`` work vector, and the
-stationary-point real-root minimisation behind ``projection="roots"``.
-This module wraps each family behind a tiny :class:`KernelBackend`
-protocol with three implementations:
+The exact projection path minimises each compiled squared-distance
+polynomial over ``[0, 1]`` by enumerating its stationary points.  This
+module names the two ways of finding those roots behind a tiny
+:class:`KernelBackend` protocol (everything else in the engine is the
+shared float64 Horner arithmetic of :mod:`repro.linalg.horner`):
 
 ``numpy``
-    The historical kernels, always available, byte-stable — the
-    reference every other backend is gated against.  This remains the
-    library default so plain ``score_samples()`` output never moves.
+    Stacked companion-matrix ``eigvals`` — the reference every other
+    solver is gated against, and the library default so plain
+    ``score_samples()`` output never moves.
 ``closed-form``
-    Same Horner kernels, but the stationary-root solve goes through
-    :mod:`repro.linalg.closedform` (analytic quadratic/cubic/quartic +
-    recursive monotone-interval isolation) instead of the stacked
-    companion-matrix ``eigvals`` — no LAPACK in the roots path at all.
-``numba``
-    Closed-form roots plus JIT-compiled, block-strided Horner kernels.
-    Guarded by :func:`importlib.util.find_spec`: when numba is absent
-    the backend refuses to construct and everything else keeps working
-    on stdlib + numpy.  Kernels are compiled with ``fastmath=False``
-    (separate multiply and add roundings), so float64 results match
-    the numpy kernels bit for bit.
+    Analytic quadratic/cubic/quartic roots plus recursive
+    monotone-interval isolation (:mod:`repro.linalg.closedform`) — no
+    LAPACK in the roots path at all.
 
-``resolve_backend("auto")`` picks ``numba`` when importable and
-``closed-form`` otherwise; the CLI and the daemon default to ``auto``,
-the library APIs default to ``None`` (= ``numpy``).
+``resolve_backend("auto")`` gives ``closed-form``; the CLI and the
+daemon default to ``auto``, the library APIs to ``None`` (= ``numpy``).
 """
 
 from __future__ import annotations
 
-import importlib.util
-import threading
 from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.linalg import horner as _horner
 from repro.linalg.closedform import closed_form_stationary_roots
 from repro.linalg.polyroots import batched_minimize_on_interval
 
-#: CLI-facing backend spellings, in resolution-priority order for "auto".
-BACKEND_CHOICES = ("auto", "numpy", "closed-form", "numba")
-
-#: Supported scoring dtypes (fitting always stays float64).
-SCORE_DTYPE_CHOICES = ("float64", "float32")
-
-
-def numba_available() -> bool:
-    """True when the optional numba dependency is importable."""
-    return importlib.util.find_spec("numba") is not None
+#: CLI-facing backend spellings.
+BACKEND_CHOICES = ("auto", "numpy", "closed-form")
 
 
 class KernelBackend:
-    """Protocol for the projection engine's three kernel entry points.
+    """Protocol for the engine's exact stationary-point minimisation.
 
     Subclasses provide a stable ``name`` (reported in ``/metrics`` and
-    traces), a ``preferred_dtype``, and the kernels.  All kernels must
-    accept/return the same shapes as the numpy reference in
-    :mod:`repro.linalg.horner` / :mod:`repro.linalg.polyroots`.
+    traces) and :meth:`minimize_stationary`, with the same shapes as
+    :func:`repro.linalg.polyroots.batched_minimize_on_interval`.
     """
 
     name: str = "abstract"
-    preferred_dtype: np.dtype = np.dtype(np.float64)
-
-    def horner_batch(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Evaluate ``n`` polynomials on ``(n, p)`` points or a shared grid."""
-        raise NotImplementedError
-
-    def horner_pointwise(self, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Evaluate polynomial ``i`` at the single point ``s[i]``."""
-        raise NotImplementedError
 
     def minimize_stationary(
         self, coeffs: np.ndarray, lo: float = 0.0, hi: float = 1.0
@@ -85,15 +54,9 @@ class KernelBackend:
 
 
 class NumpyBackend(KernelBackend):
-    """The always-on reference: historical numpy kernels + eigvals roots."""
+    """The reference: stacked companion-matrix eigvals."""
 
     name = "numpy"
-
-    def horner_batch(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _horner.horner_batch(coeffs, x)
-
-    def horner_pointwise(self, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return _horner.horner_pointwise(coeffs, s)
 
     def minimize_stationary(
         self, coeffs: np.ndarray, lo: float = 0.0, hi: float = 1.0
@@ -101,8 +64,8 @@ class NumpyBackend(KernelBackend):
         return batched_minimize_on_interval(coeffs, lo, hi)
 
 
-class ClosedFormBackend(NumpyBackend):
-    """Numpy Horner kernels with the analytic (eigvals-free) root solve."""
+class ClosedFormBackend(KernelBackend):
+    """The analytic (eigvals-free) stationary-root solve."""
 
     name = "closed-form"
 
@@ -114,139 +77,7 @@ class ClosedFormBackend(NumpyBackend):
         )
 
 
-class NumbaBackend(ClosedFormBackend):
-    """Closed-form roots + numba-JIT blocked Horner kernels.
-
-    Compilation is lazy (first kernel call) and cached per backend
-    instance; :func:`resolve_backend` hands out a process-wide
-    singleton so the JIT cost is paid once.  ``fastmath`` stays off:
-    the point is removing interpreter and temporary-array overhead,
-    not changing the rounding of a single operation, so float64
-    results are bit-identical to :class:`NumpyBackend`.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        if not numba_available():
-            raise ConfigurationError(
-                "backend 'numba' requested but numba is not importable; "
-                f"available backends: {available_backend_names()}"
-            )
-        self._kernels: Optional[dict] = None
-        self._lock = threading.Lock()
-
-    def _ensure_kernels(self) -> dict:
-        if self._kernels is None:
-            with self._lock:
-                if self._kernels is None:
-                    self._kernels = _build_numba_kernels()
-        return self._kernels
-
-    def horner_batch(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        coeffs = _horner.work_coeffs(coeffs)
-        x = np.asarray(x)
-        if x.dtype != coeffs.dtype:
-            x = x.astype(coeffs.dtype)
-        kernels = self._ensure_kernels()
-        coeffs_c = np.ascontiguousarray(coeffs)
-        if x.ndim == 1:
-            # Shared grid: keep it 1-D instead of materialising the
-            # 0-stride broadcast view numba cannot vectorise over.
-            out = np.empty((coeffs.shape[0], x.size), dtype=coeffs.dtype)
-            kernels["grid"](coeffs_c, np.ascontiguousarray(x), out)
-            return out
-        if x.ndim != 2 or x.shape[0] != coeffs.shape[0]:
-            raise ConfigurationError(
-                f"x must be 1-D (shared grid) or ({coeffs.shape[0]}, p), "
-                f"got shape {x.shape}"
-            )
-        out = np.empty(x.shape, dtype=coeffs.dtype)
-        kernels["rows"](coeffs_c, np.ascontiguousarray(x), out)
-        return out
-
-    def horner_pointwise(self, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-        coeffs = _horner.work_coeffs(coeffs)
-        s = np.asarray(s).ravel()
-        if s.dtype != coeffs.dtype:
-            s = s.astype(coeffs.dtype)
-        if s.size != coeffs.shape[0]:
-            raise ConfigurationError(
-                f"s has {s.size} entries for {coeffs.shape[0]} polynomials"
-            )
-        out = np.empty(coeffs.shape[0], dtype=coeffs.dtype)
-        self._ensure_kernels()["pointwise"](
-            np.ascontiguousarray(coeffs), np.ascontiguousarray(s), out
-        )
-        return out
-
-
-def _build_numba_kernels() -> dict:
-    """JIT-compile the blocked Horner kernels (numba import deferred)."""
-    import numba
-
-    # Row blocks keep the (block,) work slice hot in L1/L2 while the
-    # coefficient columns stream past; the inner loops are contiguous
-    # unit-stride multiply-adds LLVM auto-vectorises.  The arithmetic
-    # order per element is exactly the numpy kernels' (result * x + c,
-    # rounded separately: fastmath stays off), so float64 output is
-    # bit-identical to the reference.
-    block = 1024
-
-    @numba.njit(cache=False, fastmath=False)
-    def pointwise(coeffs, s, out):  # pragma: no cover - jitted
-        n, m = coeffs.shape
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            for i in range(start, stop):
-                out[i] = coeffs[i, m - 1]
-            for j in range(m - 2, -1, -1):
-                for i in range(start, stop):
-                    out[i] = out[i] * s[i] + coeffs[i, j]
-
-    @numba.njit(cache=False, fastmath=False)
-    def grid(coeffs, x, out):  # pragma: no cover - jitted
-        n, m = coeffs.shape
-        p = x.shape[0]
-        for i in range(n):
-            for t in range(p):
-                out[i, t] = coeffs[i, m - 1]
-            for j in range(m - 2, -1, -1):
-                cij = coeffs[i, j]
-                for t in range(p):
-                    out[i, t] = out[i, t] * x[t] + cij
-
-    @numba.njit(cache=False, fastmath=False)
-    def rows(coeffs, x, out):  # pragma: no cover - jitted
-        n, m = coeffs.shape
-        p = x.shape[1]
-        for i in range(n):
-            for t in range(p):
-                out[i, t] = coeffs[i, m - 1]
-            for j in range(m - 2, -1, -1):
-                cij = coeffs[i, j]
-                for t in range(p):
-                    out[i, t] = out[i, t] * x[i, t] + cij
-
-    return {"pointwise": pointwise, "grid": grid, "rows": rows}
-
-
-_DEFAULT_BACKEND = NumpyBackend()
-_BACKEND_CACHE: dict = {"numpy": _DEFAULT_BACKEND}
-_BACKEND_CACHE_LOCK = threading.Lock()
-
-
-def default_backend() -> KernelBackend:
-    """The library default (numpy reference — byte-stable scoring)."""
-    return _DEFAULT_BACKEND
-
-
-def available_backend_names() -> tuple:
-    """Concrete backend names constructible in this environment."""
-    names = ["numpy", "closed-form"]
-    if numba_available():
-        names.append("numba")
-    return tuple(names)
+_BACKENDS = {"numpy": NumpyBackend(), "closed-form": ClosedFormBackend()}
 
 
 def resolve_backend(
@@ -254,48 +85,19 @@ def resolve_backend(
 ) -> KernelBackend:
     """Resolve a backend spec (name, instance or None) to an instance.
 
-    ``None``/"default" give the numpy reference; "auto" gives numba when
-    importable, else closed-form.  Instances pass through untouched.
-    Unknown names and "numba"-without-numba raise ConfigurationError.
+    ``None``/"default" give the numpy reference and "auto" gives
+    closed-form.  Instances pass through untouched; unknown names raise
+    ConfigurationError.
     """
-    if spec is None:
-        return _DEFAULT_BACKEND
     if isinstance(spec, KernelBackend):
         return spec
-    name = str(spec).strip().lower().replace("_", "-")
+    name = "" if spec is None else str(spec).strip().lower().replace("_", "-")
     if name in ("", "default"):
-        return _DEFAULT_BACKEND
-    if name == "auto":
-        name = "numba" if numba_available() else "closed-form"
-    if name not in ("numpy", "closed-form", "numba"):
+        name = "numpy"
+    elif name == "auto":
+        name = "closed-form"
+    if name not in _BACKENDS:
         raise ConfigurationError(
             f"unknown kernel backend {spec!r}; choices: {BACKEND_CHOICES}"
         )
-    with _BACKEND_CACHE_LOCK:
-        backend = _BACKEND_CACHE.get(name)
-        if backend is None:
-            backend = (
-                ClosedFormBackend() if name == "closed-form" else NumbaBackend()
-            )
-            _BACKEND_CACHE[name] = backend
-    return backend
-
-
-def resolve_score_dtype(dtype=None) -> np.dtype:
-    """Validate an opt-in scoring dtype; ``None`` means float64.
-
-    Only float32 and float64 are accepted — the fit, the persisted
-    model and the root solve stay float64 regardless; float32 affects
-    the grid/GSS/Newton work vectors of scoring only.
-    """
-    if dtype is None:
-        return np.dtype(np.float64)
-    try:
-        dt = np.dtype(dtype)
-    except TypeError as exc:
-        raise ConfigurationError(f"invalid score dtype {dtype!r}") from exc
-    if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ConfigurationError(
-            f"score dtype must be one of {SCORE_DTYPE_CHOICES}, got {dtype!r}"
-        )
-    return dt
+    return _BACKENDS[name]

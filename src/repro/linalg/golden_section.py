@@ -141,37 +141,21 @@ def golden_section_search_batch(
     batch-wide termination kept shrinking already-converged rows while
     slower batchmates finished, so the same row could come back with
     different last bits depending on what it shared a batch with.
-
-    The search is dtype-preserving: float32 brackets (both ``lo`` and
-    ``hi``) keep the whole search in float32 for the opt-in float32
-    scoring mode; anything else runs the historical float64 path with
-    byte-identical arithmetic.
     """
-    work_dtype = (
-        np.float32
-        if getattr(lo, "dtype", None) == np.float32
-        and getattr(hi, "dtype", None) == np.float32
-        else np.float64
-    )
-    lo = np.asarray(lo, dtype=work_dtype)
-    hi = np.asarray(hi, dtype=work_dtype)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     if lo.shape != hi.shape:
         raise ConfigurationError(
             f"lo and hi must share a shape, got {lo.shape} vs {hi.shape}"
         )
     if np.any(hi < lo):
         raise ConfigurationError("every bracket needs lo <= hi")
-    # NEP 50: the module-level np.float64 constants are not weak
-    # scalars, so they must be cast or float32 brackets would promote.
-    # For float64 input these casts are exact no-ops.
-    inv_phi = work_dtype(INV_PHI)
-    inv_phi2 = work_dtype(INV_PHI2)
 
     a = lo.copy()
     b = hi.copy()
     h = b - a
-    c = a + inv_phi2 * h
-    d = a + inv_phi * h
+    c = a + INV_PHI2 * h
+    d = a + INV_PHI * h
     if pair_func is not None:
         fcd = pair_func(np.stack([c, d], axis=-1))
         fc, fd = fcd[..., 0], fcd[..., 1]
@@ -194,7 +178,7 @@ def golden_section_search_batch(
         a = np.where(active & ~left, c, a)
         b = np.where(active & left, d, b)
         h = b - a
-        fresh = np.where(left, a + inv_phi2 * h, a + inv_phi * h)
+        fresh = np.where(left, a + INV_PHI2 * h, a + INV_PHI * h)
         f_fresh = func(fresh)
         c, d = (
             np.where(active, np.where(left, fresh, d), c),

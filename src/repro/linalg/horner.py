@@ -11,12 +11,7 @@ matrix — carries no factor of the ambient dimension ``d`` and no
 arithmetic (and therefore the scores) cannot drift between paths.
 
 Coefficients are ascending throughout: ``coeffs[i, j]`` multiplies
-``s**j`` in polynomial ``i``.
-
-Both kernels are dtype-preserving for the opt-in float32 scoring mode:
-float32 coefficients stay float32 (evaluation points are cast to the
-coefficient dtype), everything else is promoted to float64 exactly as
-before — the float64 path is byte-identical to the historical kernels.
+``s**j`` in polynomial ``i``.  Everything is evaluated in float64.
 """
 
 from __future__ import annotations
@@ -24,14 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-
-
-def work_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients as a 2-D work array: float32 kept, else float64."""
-    coeffs = np.atleast_2d(np.asarray(coeffs))
-    if coeffs.dtype != np.float32:
-        coeffs = coeffs.astype(float, copy=False)
-    return coeffs
 
 
 def horner_batch(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -51,10 +38,8 @@ def horner_batch(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     -------
     Values of shape ``(n, p)``.
     """
-    coeffs = work_coeffs(coeffs)
-    x = np.asarray(x)
-    if x.dtype != coeffs.dtype:
-        x = x.astype(coeffs.dtype)
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = np.broadcast_to(x, (coeffs.shape[0], x.size))
     elif x.ndim != 2 or x.shape[0] != coeffs.shape[0]:
@@ -62,7 +47,7 @@ def horner_batch(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             f"x must be 1-D (shared grid) or ({coeffs.shape[0]}, p), "
             f"got shape {x.shape}"
         )
-    result = np.broadcast_to(coeffs[:, -1:], x.shape).astype(coeffs.dtype, copy=True)
+    result = np.broadcast_to(coeffs[:, -1:], x.shape).copy()
     for j in range(coeffs.shape[1] - 2, -1, -1):
         result *= x
         result += coeffs[:, j : j + 1]
@@ -76,10 +61,8 @@ def horner_pointwise(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     stays 1-D, so each iteration is ``deg`` in-place multiply-adds over
     one ``(n,)`` work vector with no 2-D temporaries.
     """
-    coeffs = work_coeffs(coeffs)
-    s = np.asarray(s).ravel()
-    if s.dtype != coeffs.dtype:
-        s = s.astype(coeffs.dtype)
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    s = np.asarray(s, dtype=float).ravel()
     if s.size != coeffs.shape[0]:
         raise ConfigurationError(
             f"s has {s.size} entries for {coeffs.shape[0]} polynomials"

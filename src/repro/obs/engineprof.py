@@ -14,13 +14,10 @@ profiles.  The cost to everyone else is exactly one C-level
 ``ContextVar.get`` and an ``is None`` branch per solver *call* (not
 per row or per iteration) — unmeasurable next to the solve itself.
 
-Thread model: ``score_batch(n_jobs=N)`` fans chunks out to pool
-threads, which do **not** inherit the submitting thread's context, so
-:func:`current` would return ``None`` there and chunked work would go
-uncounted.  The dispatch loop therefore captures the active profile
-and re-activates it inside each worker (see
-:func:`repro.serving.batch.score_batch`); :class:`EngineProfile` takes
-a lock per update so concurrent chunks accumulate exactly.
+Thread model: scoring runs on the thread that activated the profile,
+but one profile may still be read (``totals``/``snapshot``) by a
+daemon thread while another updates it, so :class:`EngineProfile`
+takes a lock per update and per read and totals stay exact.
 """
 
 from __future__ import annotations
@@ -64,10 +61,8 @@ def activate(profile: "EngineProfile"):
 class EngineProfile:
     """Accumulated solver phases and counters for one scoring call.
 
-    All methods are thread-safe (one small lock): with
-    ``score_batch(n_jobs=N)`` several chunk threads feed the same
-    profile concurrently, and the fleet-metrics mirror requires exact
-    totals.
+    All methods are thread-safe (one small lock): the fleet-metrics
+    mirror requires exact totals whichever thread reads them.
     """
 
     __slots__ = ("_lock", "phase_seconds", "phase_rows", "counters")

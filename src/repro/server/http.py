@@ -5,11 +5,10 @@ process start and a model load per scoring run.  This module keeps
 models resident behind a long-running
 :class:`http.server.ThreadingHTTPServer` — one OS thread per
 connection, models shared through a :class:`ModelRegistry`, large
-bodies dispatched through chunked (optionally multi-threaded)
-:func:`score_batch`.  Any registered model family
-(:mod:`repro.families`) serves through the same endpoints; the
-projection-engine knobs (``backend``, ``score_dtype``) and the
-``engine`` metrics block apply to the Bézier ``rpc`` family only.
+bodies dispatched through chunked :func:`score_batch`.  Any registered
+model family (:mod:`repro.families`) serves through the same
+endpoints; the projection-engine ``backend`` knob and the ``engine``
+metrics block apply to the Bézier ``rpc`` family only.
 No third-party dependencies.
 
 Endpoints
@@ -87,7 +86,7 @@ from repro.core.exceptions import (
     NotFittedError,
 )
 from repro.core.scoring import build_ranking_list
-from repro.linalg.backend import resolve_backend, resolve_score_dtype
+from repro.linalg.backend import resolve_backend
 from repro.obs import engineprof
 from repro.obs.engineprof import EngineProfile
 from repro.obs.histogram import (
@@ -107,11 +106,7 @@ from repro.server.admission import (
 from repro.server.batching import MicroBatcher
 from repro.server.metrics import ServerMetrics, SharedMetricsStore
 from repro.server.registry import ModelRegistry, UnknownModelError
-from repro.serving.batch import (
-    _validate_chunk_size,
-    _validate_n_jobs,
-    score_batch,
-)
+from repro.serving.batch import _validate_chunk_size, score_batch
 from repro.serving.extsort import pack_run_bytes
 
 #: ``/v1/models/<name>/score``, ``.../rank`` and ``.../rank-shard``.
@@ -190,8 +185,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
     chunk_size:
         Rows per projection chunk for batch bodies (``None`` uses the
         :mod:`repro.serving.batch` default).
-    n_jobs:
-        Worker threads per scoring request (see :func:`score_batch`).
     metrics:
         Optional shared :class:`ServerMetrics`; a fresh one otherwise.
     batch_window:
@@ -247,7 +240,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         address: Tuple[str, int],
         registry: ModelRegistry,
         chunk_size: Optional[int] = None,
-        n_jobs: Optional[int] = None,
         metrics: Optional[ServerMetrics] = None,
         batch_window: float = 0.0,
         max_batch_rows: Optional[int] = None,
@@ -260,23 +252,17 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         keepalive_timeout: float = 30.0,
         listen_backlog: int = 128,
         backend=None,
-        score_dtype: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ):
         # Fail fast on misconfiguration: a daemon that boots "healthy"
         # and then 400s every scoring request blames the client for an
         # operator mistake.  Validate before binding the socket.
         _validate_chunk_size(chunk_size)
-        _validate_n_jobs(n_jobs)
         _validate_keepalive_timeout(keepalive_timeout)
-        # Resolve the kernel backend and scoring dtype at boot: an
-        # unknown backend name (or a numba request without numba
-        # installed) must fail the boot, not 500 the first request.
+        # Resolve the kernel backend at boot: an unknown backend name
+        # must fail the boot, not 500 the first request.
         self.backend = (
             None if backend is None else resolve_backend(backend)
-        )
-        self.score_dtype = (
-            None if score_dtype is None else resolve_score_dtype(score_dtype)
         )
         if int(listen_backlog) < 1:
             raise ConfigurationError(
@@ -319,7 +305,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
             self.server_port = port
         self.registry = registry
         self.chunk_size = chunk_size
-        self.n_jobs = n_jobs
         self.metrics = metrics if metrics is not None else ServerMetrics()
         self.metrics_reader = metrics_reader
         self.tracer = tracer
@@ -336,12 +321,7 @@ class ScoringHTTPServer(ThreadingHTTPServer):
     ) -> MicroBatcher:
         return MicroBatcher(
             lambda model, X: score_batch(
-                model,
-                X,
-                chunk_size=self.chunk_size,
-                n_jobs=self.n_jobs,
-                backend=self.backend,
-                dtype=self.score_dtype,
+                model, X, chunk_size=self.chunk_size, backend=self.backend
             ),
             window=window,
             policy=policy,
@@ -419,13 +399,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         return "numpy" if self.backend is None else self.backend.name
 
     @property
-    def score_dtype_name(self) -> str:
-        """Canonical name of the scoring work dtype (``float64``
-        unless the operator opted into ``float32``)."""
-        dtype = self.score_dtype
-        return "float64" if dtype is None else np.dtype(dtype).name
-
-    @property
     def is_draining(self) -> bool:
         return self._draining.is_set()
 
@@ -482,12 +455,7 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         try:
             with engineprof.activate(profile):
                 return score_batch(
-                    model,
-                    X,
-                    chunk_size=self.chunk_size,
-                    n_jobs=self.n_jobs,
-                    backend=self.backend,
-                    dtype=self.score_dtype,
+                    model, X, chunk_size=self.chunk_size, backend=self.backend
                 )
         finally:
             if trace.enabled:
@@ -668,7 +636,6 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         if reader is None:
             out = self.server.metrics.engine_snapshot()
             out["backend"] = self.server.backend_name
-            out["score_dtype"] = self.server.score_dtype_name
             return out
         cells = reader.merged_engine()
         out = {
@@ -683,7 +650,6 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         if hits or misses:
             out["warm_start_hit_rate"] = round(hits / (hits + misses), 4)
         out["backend"] = self.server.backend_name
-        out["score_dtype"] = self.server.score_dtype_name
         return out
 
     def _latency_histograms_json(self) -> dict:
@@ -744,18 +710,17 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
 
     def _get_models(self) -> Tuple[int, dict, int]:
         # Every model is served through the same daemon-wide backend
-        # and scoring dtype (chosen at boot), so the per-entry keys are
-        # uniform — they exist so clients scoring against one model do
-        # not need a second round-trip to /metrics to learn them.
+        # (chosen at boot), so the per-entry key is uniform — it exists
+        # so clients scoring against one model do not need a second
+        # round-trip to /metrics to learn it.
         models = self.server.registry.describe()
         for entry in models:
             entry["backend"] = self.server.backend_name
-            entry["score_dtype"] = self.server.score_dtype_name
         return 200, {"models": models}, 0
 
     def _get_model_info(self, name: str) -> Tuple[int, dict, int]:
         # Same per-entry shape as the /v1/models listing (including the
-        # daemon-wide backend/score_dtype keys), but resolved through
+        # daemon-wide backend key), but resolved through
         # the registry's hot-reload path so the answer reflects the
         # model that the next scoring request would actually use.
         try:
@@ -763,7 +728,6 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         except UnknownModelError as exc:
             raise _RequestError(404, str(exc)) from None
         entry["backend"] = self.server.backend_name
-        entry["score_dtype"] = self.server.score_dtype_name
         return 200, entry, 0
 
     def _post_model(self, name: str, action: str) -> Tuple[int, dict, int]:
@@ -1245,16 +1209,10 @@ def _prometheus_exposition(server: ScoringHTTPServer) -> str:
     engine_info = MetricFamily(
         "repro_engine_info",
         "gauge",
-        "Constant 1; labels carry the active kernel backend and "
-        "scoring work dtype of this daemon.",
+        "Constant 1; the label carries the active kernel backend of "
+        "this daemon.",
     )
-    engine_info.add_sample(
-        1.0,
-        {
-            "backend": server.backend_name,
-            "dtype": server.score_dtype_name,
-        },
-    )
+    engine_info.add_sample(1.0, {"backend": server.backend_name})
     families.append(engine_info)
 
     by_family = MetricFamily(

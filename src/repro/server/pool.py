@@ -51,7 +51,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import ConfigurationError
-from repro.linalg.backend import resolve_backend, resolve_score_dtype
+from repro.linalg.backend import resolve_backend
 from repro.obs.accesslog import AccessLog
 from repro.obs.trace import (
     DEFAULT_SAMPLE_EVERY,
@@ -68,7 +68,7 @@ from repro.server.admission import (
 from repro.server.http import ScoringHTTPServer, _validate_keepalive_timeout
 from repro.server.metrics import ServerMetrics, SharedMetricsStore
 from repro.server.registry import ModelRegistry
-from repro.serving.batch import _validate_chunk_size, _validate_n_jobs
+from repro.serving.batch import _validate_chunk_size
 
 #: Seconds a draining worker gets to finish in-flight requests before
 #: the parent escalates to ``SIGKILL``.
@@ -96,7 +96,6 @@ class WorkerPool:
         port: int = 8000,
         workers: int = 2,
         chunk_size: Optional[int] = None,
-        n_jobs: Optional[int] = None,
         batch_window: float = 0.0,
         max_batch_rows: Optional[int] = None,
         batch_policy: str = "adaptive",
@@ -113,7 +112,6 @@ class WorkerPool:
         trace_buffer: int = DEFAULT_TRACE_BUFFER,
         access_log: Optional[str] = None,
         backend=None,
-        score_dtype: Optional[str] = None,
     ):
         if int(workers) < 1:
             raise ConfigurationError(
@@ -127,7 +125,6 @@ class WorkerPool:
         # knob must error here, before the socket binds — not surface
         # minutes later as a crash-looping worker fleet.
         _validate_chunk_size(chunk_size)
-        _validate_n_jobs(n_jobs)
         _validate_keepalive_timeout(keepalive_timeout)
         _validate_admission_knobs(
             max_inflight, max_inflight_per_model, retry_after
@@ -161,20 +158,16 @@ class WorkerPool:
             raise ConfigurationError(
                 f"--trace-buffer must be >= 1, got {trace_buffer}"
             )
-        # Validate in the parent so a bad backend name (or a numba
-        # request without numba) fails the boot, not a worker fleet.
-        # Workers re-resolve from the *spec* after the fork: backend
-        # singletons hold JIT state that must not cross fork().
+        # Validate in the parent so a bad backend name fails the
+        # boot, not a worker fleet; workers resolve the spec again
+        # after the fork.
         if backend is not None:
             resolve_backend(backend)
-        if score_dtype is not None:
-            resolve_score_dtype(score_dtype)
         self.model_specs = list(model_specs)
         self.host = host
         self.port = int(port)
         self.workers = int(workers)
         self.chunk_size = chunk_size
-        self.n_jobs = n_jobs
         self.batch_window = float(batch_window)
         self.max_batch_rows = max_batch_rows
         self.batch_policy = batch_policy
@@ -191,7 +184,6 @@ class WorkerPool:
         self.trace_buffer = int(trace_buffer)
         self.access_log = access_log
         self.backend = backend
-        self.score_dtype = score_dtype
         self._socket: Optional[socket.socket] = None
         self._metrics_dir: Optional[str] = None
         self._pids: Dict[int, int] = {}  # pid -> slot
@@ -407,7 +399,6 @@ class WorkerPool:
                 (self.host, self.port),
                 registry,
                 chunk_size=self.chunk_size,
-                n_jobs=self.n_jobs,
                 metrics=ServerMetrics(mirror=store.writer(slot)),
                 batch_window=self.batch_window,
                 max_batch_rows=self.max_batch_rows,
@@ -419,7 +410,6 @@ class WorkerPool:
                 metrics_reader=store,
                 keepalive_timeout=self.keepalive_timeout,
                 backend=self.backend,
-                score_dtype=self.score_dtype,
                 tracer=tracer,
             )
             server.worker_slot = slot

@@ -16,8 +16,7 @@ halves of that workflow:
 * :mod:`repro.serving.batch` — ``score_batch(model, X, chunk_size=...)``
   scores arbitrarily large inputs in bounded memory by chunking the
   vectorised projection step (which materialises an ``(n, n_grid)``
-  distance matrix), optionally fanning chunks out over worker threads
-  (``n_jobs=``), plus a generator variant for streaming pipelines.
+  distance matrix), plus a generator variant for streaming pipelines.
 * :mod:`repro.serving.stream` — incremental CSV scoring: lazily parse
   rows, buffer them into chunks, score each chunk and write results
   out, so ``repro score --stream`` never materialises its input.

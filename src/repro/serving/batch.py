@@ -19,24 +19,19 @@ aggregators, whose score is a row's position among the rows it arrived
 with) are scored in a single call instead — chunking them would change
 the answer, so it is never done.
 
-Because chunks are independent, they can also be dispatched
-concurrently: ``score_batch(..., n_jobs=4)`` fans the chunks out over a
-thread pool.  NumPy releases the GIL inside the projection hot path
-(the distance-matrix build and the vectorised GSS arithmetic), so plain
-threads scale on multi-core serving boxes with zero extra memory copies
-— every worker writes its slice of the same preallocated output vector.
-
-Every chunk (serial or threaded) scores through the model's cached
+Every chunk scores through the model's cached
 :class:`~repro.geometry.engine.ProjectionEngine`: the curve's power
 conversion and self-product polynomial are built once per fitted model,
 so per-chunk setup is a single ``X @ C`` matmul however many chunks a
-stream is split into.  The engine is immutable, which is what makes
-sharing it across ``n_jobs=`` workers safe.
+stream is split into.
+
+Scoring runs on the calling thread.  Concurrency lives one level up:
+the daemon's worker processes and its request micro-batcher.
 
 Usage
 -----
 >>> from repro.serving import score_batch
->>> scores = score_batch(model, X_large, chunk_size=8192, n_jobs=4)
+>>> scores = score_batch(model, X_large, chunk_size=8192)
 
 For streaming pipelines that don't want the output in memory either::
 
@@ -46,15 +41,13 @@ For streaming pipelines that don't want the output in memory either::
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.model_api import ScorableModel
-from repro.obs import engineprof
+from repro.linalg.backend import resolve_backend
 
 #: Default rows per projection chunk — a few MB of temporaries at the
 #: default ``n_grid`` of 32, small enough for any serving box, large
@@ -73,32 +66,17 @@ def _validate_chunk_size(chunk_size: Optional[int]) -> int:
     return chunk_size
 
 
-def _validate_n_jobs(n_jobs: Optional[int]) -> int:
-    if n_jobs is None:
-        return 1
-    n_jobs = int(n_jobs)
-    if n_jobs == -1:
-        return os.cpu_count() or 1
-    if n_jobs < 1:
-        raise ConfigurationError(
-            f"n_jobs must be >= 1 or -1 (all cores), got {n_jobs}"
-        )
-    return n_jobs
-
-
-def _chunk_scorer(model, backend, dtype):
+def _chunk_scorer(model, backend):
     """Per-chunk scoring callable for ``model``.
 
-    Only the Bézier family takes the engine ``backend=``/``dtype=``
-    keywords (``model.accepts_solver_kwargs``); every other family is
-    called with the plain one-argument signature, which keeps the
-    Bézier hot path byte-identical while letting any ScorableModel
-    flow through the same chunk loop.
+    Only the Bézier family takes the engine ``backend=`` keyword
+    (``model.accepts_solver_kwargs``); every other family is called
+    with the plain one-argument signature, which keeps the Bézier hot
+    path byte-identical while letting any ScorableModel flow through
+    the same chunk loop.
     """
     if getattr(model, "accepts_solver_kwargs", False):
-        return lambda chunk: model.score_samples(
-            chunk, backend=backend, dtype=dtype
-        )
+        return lambda chunk: model.score_samples(chunk, backend=backend)
     return lambda chunk: np.asarray(
         model.score_samples(chunk), dtype=float
     )
@@ -109,7 +87,6 @@ def iter_score_chunks(
     X: np.ndarray,
     chunk_size: Optional[int] = None,
     backend=None,
-    dtype=None,
 ) -> Iterator[Tuple[int, int, np.ndarray]]:
     """Yield ``(start, stop, scores)`` triples over chunks of ``X``.
 
@@ -127,11 +104,11 @@ def iter_score_chunks(
         Rows per chunk; ``None`` uses :data:`DEFAULT_CHUNK_SIZE`.
         Batch-relative families (``model.pointwise_scores`` false)
         ignore it and yield one chunk covering all of ``X``.
-    backend, dtype:
-        Optional kernel backend and scoring work dtype, resolved and
-        validated up front (before any chunk is scored) and applied to
-        every chunk; see :mod:`repro.linalg.backend`.  Ignored by
-        families without engine backends.
+    backend:
+        Optional root-solver backend, resolved and validated up front
+        (before any chunk is scored) and applied to every chunk; see
+        :mod:`repro.linalg.backend`.  Ignored by families without
+        engine backends.
 
     Yields
     ------
@@ -139,13 +116,15 @@ def iter_score_chunks(
     covering rows ``X[start:stop]``, in order.
     """
     chunk_size = _validate_chunk_size(chunk_size)
-    backend, dtype = _resolve_backend_dtype(backend, dtype)
+    # ``None`` stays ``None`` so the model keeps its own default.
+    if backend is not None:
+        backend = resolve_backend(backend)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ConfigurationError(
             f"X must be 2-D (objects x attributes), got ndim={X.ndim}"
         )
-    score = _chunk_scorer(model, backend, dtype)
+    score = _chunk_scorer(model, backend)
     if not getattr(model, "pointwise_scores", True):
         # Batch-relative scores: one chunk, positions intact.
         if X.shape[0]:
@@ -156,29 +135,11 @@ def iter_score_chunks(
         yield start, stop, score(X[start:stop])
 
 
-def _resolve_backend_dtype(backend, dtype):
-    """Validate backend/dtype specs once, up front; keep None as None.
-
-    ``None`` stays ``None`` (rather than eagerly becoming the default
-    backend instance) so downstream layers can distinguish "caller
-    didn't ask" from an explicit choice.
-    """
-    from repro.linalg.backend import resolve_backend, resolve_score_dtype
-
-    if backend is not None:
-        backend = resolve_backend(backend)
-    if dtype is not None:
-        dtype = resolve_score_dtype(dtype)
-    return backend, dtype
-
-
 def score_batch(
     model: ScorableModel,
     X: np.ndarray,
     chunk_size: Optional[int] = None,
-    n_jobs: Optional[int] = None,
     backend=None,
-    dtype=None,
 ) -> np.ndarray:
     """Score every row of ``X`` with bounded peak memory.
 
@@ -191,69 +152,23 @@ def score_batch(
     model:
         A fitted :class:`~repro.core.model_api.ScorableModel` of any
         family.  Batch-relative families are scored in one call
-        (``chunk_size``/``n_jobs`` are ignored — see module docs).
+        (``chunk_size`` is ignored — see module docs).
     X:
         Raw (unnormalised) observations, shape ``(n, d)``.
     chunk_size:
         Rows per chunk; ``None`` uses :data:`DEFAULT_CHUNK_SIZE`.
-    n_jobs:
-        Worker threads for chunk dispatch.  ``None`` or ``1`` scores
-        chunks serially; ``-1`` uses every core.  Scores are identical
-        regardless of ``n_jobs`` — chunk boundaries do not move, each
-        worker writes a disjoint slice of the output, and the per-chunk
-        arithmetic is untouched.
     backend:
-        Optional projection kernel backend for every chunk (name or
+        Optional root-solver backend for every chunk (name or
         instance; ``None`` = numpy reference).
-    dtype:
-        Optional ``"float32"`` opt-in for the solver work vectors.
-        Output scores are float64 regardless.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ConfigurationError(
             f"X must be 2-D (objects x attributes), got ndim={X.ndim}"
         )
-    n_jobs = _validate_n_jobs(n_jobs)
-    backend, dtype = _resolve_backend_dtype(backend, dtype)
     out = np.empty(X.shape[0])
-    if not getattr(model, "pointwise_scores", True):
-        n_jobs = 1  # one whole-input chunk; nothing to fan out
-    if n_jobs == 1:
-        for start, stop, scores in iter_score_chunks(
-            model, X, chunk_size, backend=backend, dtype=dtype
-        ):
-            out[start:stop] = scores
-        return out
-
-    chunk_size = _validate_chunk_size(chunk_size)
-    spans = [
-        (start, min(start + chunk_size, X.shape[0]))
-        for start in range(0, X.shape[0], chunk_size)
-    ]
-    if not spans:
-        return out
-
-    # Pool threads do not inherit the submitting thread's context, so
-    # an active engine profile (repro.obs.engineprof) must be captured
-    # here and re-activated per span or chunked work would go
-    # uncounted; the profile accumulates under a lock, so concurrent
-    # spans feeding one profile stay exact.
-    profile = engineprof.current()
-    score = _chunk_scorer(model, backend, dtype)
-
-    def _score_span(span: Tuple[int, int]) -> None:
-        start, stop = span
-        if profile is None:
-            out[start:stop] = score(X[start:stop])
-        else:
-            with engineprof.activate(profile):
-                out[start:stop] = score(X[start:stop])
-
-    with ThreadPoolExecutor(
-        max_workers=min(n_jobs, len(spans))
-    ) as pool:
-        # Consume the iterator to surface worker exceptions here.
-        for _ in pool.map(_score_span, spans):
-            pass
+    for start, stop, scores in iter_score_chunks(
+        model, X, chunk_size, backend=backend
+    ):
+        out[start:stop] = scores
     return out

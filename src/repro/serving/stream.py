@@ -16,9 +16,8 @@ The pipeline has four small stages, each usable on its own:
 2. :func:`iter_csv_chunks` — buffer those rows into
    :class:`~repro.data.loaders.TabularData` chunks;
 3. :func:`iter_stream_scores` — push each chunk through
-   :func:`~repro.serving.batch.score_batch` (which walks
-   ``iter_score_chunks``, optionally over ``n_jobs`` threads),
-   yielding ``(labels, scores)`` per chunk;
+   :func:`~repro.serving.batch.score_batch`, yielding
+   ``(labels, scores)`` per chunk;
 4. a terminus per output shape: :func:`stream_score_csv` writes
    ``label,score`` rows incrementally in input order;
    :func:`stream_rank_topk` folds the chunks into a bounded top-``k``
@@ -220,9 +219,7 @@ def iter_stream_scores(
     chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
-    n_jobs: Optional[int] = None,
     backend=None,
-    dtype=None,
 ) -> Iterator[Tuple[List[str], np.ndarray]]:
     """Yield ``(labels, scores)`` per buffered chunk of a CSV, in order.
 
@@ -232,26 +229,14 @@ def iter_stream_scores(
     columns scores correctly.  A width mismatch against the model's
     direction vector raises :class:`DataValidationError` on the first
     chunk, before any scores are produced.
-
-    With ``n_jobs > 1`` the reader buffers ``chunk_size * n_jobs`` rows
-    per yield and fans the projection chunks out over threads (see
-    :func:`score_batch`).  Peak memory grows to
-    ``O(chunk_size * n_jobs * d)`` but the chunk boundaries stay the
-    same multiples of ``chunk_size``, so the scores remain
-    bit-identical to the serial path.
     """
-    from repro.serving.batch import (
-        _validate_chunk_size,
-        _validate_n_jobs,
-        score_batch,
-    )
+    from repro.serving.batch import _validate_chunk_size, score_batch
 
     path = pathlib.Path(path)
     chunk_size = _validate_chunk_size(chunk_size)
-    n_jobs = _validate_n_jobs(n_jobs)
     for chunk in iter_csv_chunks(
         path,
-        chunk_size=chunk_size * n_jobs,
+        chunk_size=chunk_size,
         label_column=label_column,
         attribute_columns=model.feature_names_,
         delimiter=delimiter,
@@ -263,8 +248,7 @@ def iter_stream_scores(
                 f"{path} provides {chunk.X.shape[1]}"
             )
         yield chunk.labels, score_batch(
-            model, chunk.X, chunk_size=chunk_size, n_jobs=n_jobs,
-            backend=backend, dtype=dtype,
+            model, chunk.X, chunk_size=chunk_size, backend=backend
         )
 
 
@@ -275,9 +259,7 @@ def stream_score_csv(
     chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
-    n_jobs: Optional[int] = None,
     backend=None,
-    dtype=None,
 ) -> int:
     """Score ``csv_path`` end to end, writing ``label,score`` rows.
 
@@ -305,9 +287,7 @@ def stream_score_csv(
             chunk_size=chunk_size,
             label_column=label_column,
             delimiter=delimiter,
-            n_jobs=n_jobs,
             backend=backend,
-            dtype=dtype,
         ):
             for label, score in zip(labels, scores):
                 writer.writerow([label, repr(float(score))])
@@ -322,9 +302,7 @@ def stream_rank_topk(
     chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
-    n_jobs: Optional[int] = None,
     backend=None,
-    dtype=None,
 ) -> Tuple[List[Tuple[str, float]], int]:
     """Best-``k`` objects of a streamed CSV via a bounded min-heap.
 
@@ -352,7 +330,7 @@ def stream_rank_topk(
         (and counts) every row but keeps none; ``k`` beyond the row
         count returns the complete ranking — both are exactly
         ``build_ranking_list(all_scores, labels).top(k)``.
-    chunk_size, label_column, delimiter, n_jobs:
+    chunk_size, label_column, delimiter:
         As in :func:`iter_stream_scores`.
 
     Returns
@@ -379,9 +357,7 @@ def stream_rank_topk(
         chunk_size=chunk_size,
         label_column=label_column,
         delimiter=delimiter,
-        n_jobs=n_jobs,
         backend=backend,
-        dtype=dtype,
     ):
         if k == 0:
             # Nothing to keep, but the stream is still drained so the
@@ -408,9 +384,7 @@ def stream_rank_csv(
     chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
-    n_jobs: Optional[int] = None,
     backend=None,
-    dtype=None,
     memory_budget_rows: Optional[int] = None,
     max_open_runs: Optional[int] = None,
     tmp_dir: Optional[str | pathlib.Path] = None,
@@ -428,7 +402,7 @@ def stream_rank_csv(
     :func:`~repro.data.loaders.save_ranking_csv` — same scores, same
     stable tie-breaks (via the shared
     :func:`~repro.core.scoring.rank_entry_key`) — while peak memory
-    stays ``O(chunk_size * n_jobs * d + memory_budget_rows)`` however
+    stays ``O(chunk_size * d + memory_budget_rows)`` however
     long the file is.
 
     Parameters
@@ -443,11 +417,11 @@ def stream_rank_csv(
         renamed into place on success (a failed merge leaves no torn
         output); ``None`` skips the file (useful when only the
         returned ``head`` is wanted).
-    chunk_size, label_column, delimiter, n_jobs:
+    chunk_size, label_column, delimiter:
         As in :func:`iter_stream_scores`.
-    backend, dtype:
-        Optional projection kernel backend / float32 scoring opt-in,
-        as in :func:`repro.serving.batch.score_batch`.
+    backend:
+        Optional root-solver backend, as in
+        :func:`repro.serving.batch.score_batch`.
     memory_budget_rows, max_open_runs, tmp_dir:
         External-sort knobs, see
         :class:`~repro.serving.extsort.ExternalSorter`.  Run files are
@@ -480,9 +454,7 @@ def stream_rank_csv(
             chunk_size=chunk_size,
             label_column=label_column,
             delimiter=delimiter,
-            n_jobs=n_jobs,
             backend=backend,
-            dtype=dtype,
         ):
             sorter.add(labels, scores)
         n_rows = sorter.n_rows

@@ -54,7 +54,6 @@ class TestServeParser:
                 "--model", "journals=j.npz",
                 "--port", "9001",
                 "--workers", "4",
-                "--jobs", "2",
                 "--batch-window-ms", "2.5",
                 "--max-batch-rows", "512",
             ]
@@ -62,10 +61,8 @@ class TestServeParser:
         assert args.command == "serve"
         assert args.models == ["wellbeing=m.json", "journals=j.npz"]
         assert args.port == 9001
-        # --workers is the pre-fork process count; per-request chunk
-        # threads moved to --jobs (mirroring `score --jobs`).
+        # --workers is the pre-fork process count.
         assert args.workers == 4
-        assert args.jobs == 2
         assert args.batch_window_ms == 2.5
         assert args.max_batch_rows == 512
         assert args.host == "127.0.0.1"
@@ -73,7 +70,6 @@ class TestServeParser:
     def test_serve_defaults_are_single_process_unbatched(self):
         args = build_parser().parse_args(["serve", "--model", "m=m.json"])
         assert args.workers == 1
-        assert args.jobs is None
         assert args.batch_window_ms == 0.0
         assert args.max_batch_rows is None
 
@@ -308,6 +304,42 @@ class TestServingCommands:
         code = main(["score", "/does/not/exist.json", str(path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_save_reports_non_convergence(
+        self, ranking_csv, tmp_path, capsys, monkeypatch
+    ):
+        # The fit inside `save` silences ConvergenceWarning, so the CLI
+        # must say itself that the saved model stopped early.
+        import functools
+
+        import repro.cli
+        from repro.core.rpc import RankingPrincipalCurve
+
+        monkeypatch.setattr(
+            repro.cli,
+            "RankingPrincipalCurve",
+            functools.partial(RankingPrincipalCurve, max_iter=1),
+        )
+        path, _ = ranking_csv
+        model_path = tmp_path / "model.json"
+        code = main(
+            [
+                "save",
+                str(path),
+                "--alpha",
+                "+quality,+coverage,-defects",
+                "--model",
+                str(model_path),
+                "--restarts",
+                "1",
+            ]
+        )
+        assert code == 0
+        assert model_path.exists()
+        captured = capsys.readouterr()
+        assert "model written to" in captured.out
+        assert "did not converge after 1 iterations" in captured.err
+        assert "final objective" in captured.err
 
     def test_save_rejects_unknown_format(self, ranking_csv, tmp_path, capsys):
         path, _ = ranking_csv

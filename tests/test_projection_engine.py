@@ -36,11 +36,7 @@ from repro.geometry.engine import (
     curve_self_product_coefficients,
     squared_distance_coefficients,
 )
-from repro.linalg.backend import (
-    available_backend_names,
-    numba_available,
-    resolve_backend,
-)
+from repro.linalg.backend import resolve_backend
 from repro.linalg.golden_section import golden_section_search_batch
 from repro.linalg.horner import horner_batch, horner_pointwise
 
@@ -54,17 +50,8 @@ DIST_ATOL = 1e-10
 DEGREES = (3, 4, 5, 6, 7)
 SEEDS_PER_DEGREE = 6
 
-#: Every kernel backend importable in this environment ("numpy" and
-#: "closed-form" always; "numba" joins when the optional package is
-#: installed, e.g. in the CI native-backend job).
-BACKENDS = available_backend_names()
-
-#: float32 agreement contract: scores match to ~1e-3 unless two basins
-#: tie at float32 distance resolution, in which case either argmin is a
-#: correct answer (same tie convention as the float64 suite, at the
-#: precision the solver actually ran at).
-S_ATOL32 = 1e-3
-DIST_ATOL32 = 1e-2
+#: Every root-solver backend.
+BACKENDS = ("numpy", "closed-form")
 
 
 def _random_curve_and_points(degree: int, seed: int):
@@ -241,13 +228,12 @@ class TestSolverAgreementAcrossDegrees:
 
 
 class TestBackendDtypeAgreement:
-    """Every backend x dtype combination against the default path.
+    """Every backend against the default path.
 
-    float64 runs must agree with the numpy/float64 reference to the
-    repo-wide 1e-8/1e-10 contract (in practice exactly: the backends
-    share the clip/boundary/Newton-polish semantics and differ only in
-    how stationary roots are found).  float32 runs are an opt-in speed
-    trade judged at float32 resolution.
+    Runs must agree with the numpy reference to the repo-wide
+    1e-8/1e-10 contract (in practice exactly: the backends share the
+    clip/boundary/Newton-polish semantics and differ only in how
+    stationary roots are found).
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -256,33 +242,12 @@ class TestBackendDtypeAgreement:
     def test_float64_agrees_with_reference(self, degree, method, backend):
         curve, X = _random_curve_and_points(degree, seed=7)
         ref = project_points(curve, X, method=method)
-        got = project_points(
-            curve, X, method=method, backend=backend, dtype="float64"
-        )
+        got = project_points(curve, X, method=method, backend=backend)
         compiled = ProjectionEngine(curve).compile(X)
         close = np.abs(got - ref) <= S_ATOL
         tied = np.abs(
             compiled.distance(got) - compiled.distance(ref)
         ) <= DIST_ATOL
-        assert np.all(close | tied), (
-            f"degree {degree} method {method} backend {backend}"
-        )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("method", ("gss", "roots"))
-    @pytest.mark.parametrize("degree", DEGREES)
-    def test_float32_within_tolerance(self, degree, method, backend):
-        curve, X = _random_curve_and_points(degree, seed=11)
-        ref = project_points(curve, X, method=method)
-        got = project_points(
-            curve, X, method=method, backend=backend, dtype="float32"
-        )
-        assert got.dtype == np.float64  # output contract: always float64
-        compiled = ProjectionEngine(curve).compile(X)
-        close = np.abs(got - ref) <= S_ATOL32
-        tied = np.abs(
-            compiled.distance(got) - compiled.distance(ref)
-        ) <= DIST_ATOL32
         assert np.all(close | tied), (
             f"degree {degree} method {method} backend {backend}"
         )
@@ -293,9 +258,7 @@ class TestBackendDtypeAgreement:
         """Spelling out the defaults must not change a single bit."""
         curve, X = _random_curve_and_points(degree, seed=13)
         ref = project_points(curve, X, method=method)
-        got = project_points(
-            curve, X, method=method, backend="numpy", dtype="float64"
-        )
+        got = project_points(curve, X, method=method, backend="numpy")
         np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -317,10 +280,8 @@ class TestBackendDtypeAgreement:
         ])
         np.testing.assert_array_equal(split, full)
 
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed; request succeeds"
-    )
     def test_numba_request_without_numba_is_rejected(self):
+        """numba is not a backend; its name is rejected by name."""
         with pytest.raises(ConfigurationError, match="numba"):
             resolve_backend("numba")
 

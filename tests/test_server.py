@@ -741,8 +741,6 @@ class TestServerConstruction:
     def test_misconfiguration_fails_at_boot(self):
         # A daemon must not boot "healthy" and then 400 every request.
         registry = ModelRegistry()
-        with pytest.raises(ConfigurationError, match="n_jobs"):
-            ScoringHTTPServer(("127.0.0.1", 0), registry, n_jobs=0)
         with pytest.raises(ConfigurationError, match="chunk_size"):
             ScoringHTTPServer(("127.0.0.1", 0), registry, chunk_size=0)
 

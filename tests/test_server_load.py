@@ -413,8 +413,6 @@ class TestWorkerPoolValidation:
         # must error at construction, not as a crash-looping fleet.
         with pytest.raises(ConfigurationError, match="workers"):
             WorkerPool([], workers=0)
-        with pytest.raises(ConfigurationError, match="n_jobs"):
-            WorkerPool([], workers=2, n_jobs=0)
         with pytest.raises(ConfigurationError, match="chunk_size"):
             WorkerPool([], workers=2, chunk_size=0)
         with pytest.raises(ConfigurationError, match="window"):

@@ -239,8 +239,6 @@ class TestScoreBatch:
         assert list(iter_score_chunks(country_model, empty)) == []
         scores = score_batch(country_model, empty)
         assert scores.shape == (0,)
-        scores = score_batch(country_model, empty, n_jobs=4)
-        assert scores.shape == (0,)
 
     def test_unfitted_model_raises(self):
         model = RankingPrincipalCurve(alpha=[1, 1])
@@ -258,43 +256,6 @@ class TestScoreBatch:
         np.testing.assert_allclose(
             scores, model.score_samples(cloud.X), atol=1e-9
         )
-
-
-class TestParallelDispatch:
-    """``n_jobs=`` fans chunks over threads without changing a bit."""
-
-    @pytest.mark.parametrize("n_jobs", [2, 4, -1])
-    def test_parallel_matches_serial_exactly(self, country_model, n_jobs):
-        data = load_countries()
-        rng = np.random.default_rng(1)
-        idx = rng.integers(0, data.X.shape[0], size=5000)
-        X = data.X[idx] * rng.uniform(0.95, 1.05, size=(5000, 1))
-        serial = score_batch(country_model, X, chunk_size=512)
-        parallel = score_batch(
-            country_model, X, chunk_size=512, n_jobs=n_jobs
-        )
-        # Chunk boundaries are identical and each worker writes its own
-        # disjoint slice, so parallel dispatch is bit-exact, not just
-        # close.
-        assert np.array_equal(serial, parallel)
-
-    def test_more_jobs_than_chunks(self, country_model):
-        data = load_countries()
-        serial = score_batch(country_model, data.X)
-        parallel = score_batch(country_model, data.X, n_jobs=16)
-        assert np.array_equal(serial, parallel)
-
-    def test_invalid_n_jobs(self, country_model):
-        data = load_countries()
-        with pytest.raises(ConfigurationError, match="n_jobs"):
-            score_batch(country_model, data.X, n_jobs=0)
-        with pytest.raises(ConfigurationError, match="n_jobs"):
-            score_batch(country_model, data.X, n_jobs=-2)
-
-    def test_worker_errors_propagate(self):
-        model = RankingPrincipalCurve(alpha=[1, 1])
-        with pytest.raises(NotFittedError):
-            score_batch(model, np.zeros((64, 2)), chunk_size=8, n_jobs=4)
 
 
 class TestWarmStartDefault:

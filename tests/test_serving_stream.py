@@ -150,22 +150,6 @@ class TestStreamScores:
         assert streamed_labels == labels
         np.testing.assert_array_equal(np.concatenate(streamed), reference)
 
-    def test_n_jobs_streams_bit_identically(self, workload):
-        # Parallel streaming buffers chunk_size * n_jobs rows but the
-        # chunk boundaries stay multiples of chunk_size, so scores are
-        # bit-identical to the serial stream and to score_batch.
-        model, _, csv_path, X, labels = workload
-        reference = score_batch(model, X, chunk_size=20)
-        streamed_labels: list[str] = []
-        streamed = []
-        for chunk_labels, chunk_scores in iter_stream_scores(
-            model, csv_path, chunk_size=20, label_column="id", n_jobs=3
-        ):
-            streamed_labels.extend(chunk_labels)
-            streamed.append(chunk_scores)
-        assert streamed_labels == labels
-        np.testing.assert_array_equal(np.concatenate(streamed), reference)
-
     def test_reordered_csv_columns_score_identically(self, workload, tmp_path):
         # feature_names_ (stored in the model file) select and order
         # columns, so a CSV with shuffled columns streams to the same
@@ -313,10 +297,9 @@ class TestCliStream:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["score", "m.json", "x.csv", "--stream", "--jobs", "4"]
+            ["score", "m.json", "x.csv", "--stream"]
         )
         assert args.stream is True
-        assert args.jobs == 4
 
     def test_stream_bad_csv_is_reported(self, workload, tmp_path, capsys):
         _, model_path, _, _, _ = workload
