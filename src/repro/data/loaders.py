@@ -5,14 +5,21 @@ column and numeric attribute columns.  This module reads such files
 into the library's ``(labels, X, attribute_names)`` form, writes
 ranking lists back out, and round-trips the bundled datasets — all on
 the standard library's :mod:`csv`, no pandas required.
+
+Every CSV reader in the package — :func:`load_csv` here and the
+streaming readers of :mod:`repro.serving.stream` — goes through one
+chunk-at-a-time parser, :func:`iter_csv_tables`, so they accept the
+same files and reject bad ones with the same ``file:line`` messages.
 """
 
 from __future__ import annotations
 
 import csv
+import gzip
+import operator
 import pathlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +82,130 @@ def resolve_csv_columns(
     return header, label_idx, attr_idx, list(attribute_columns)
 
 
+def _open_text(path: pathlib.Path) -> IO[str]:
+    """Open a CSV for reading, transparently gunzipping ``.gz``.
+
+    Compressed exports stream through :mod:`gzip`'s incremental text
+    reader, so a chunked read of a ``.csv.gz`` holds no more of the
+    file than a chunked read of the plain CSV.
+    """
+    if path.suffix == ".gz":
+        return gzip.open(path, mode="rt", newline="")
+    return path.open(newline="")
+
+
+def iter_csv_tables(
+    path: str | pathlib.Path,
+    chunk_size: Optional[int] = None,
+    label_column: Optional[str] = None,
+    attribute_columns: Optional[Sequence[str]] = None,
+    delimiter: str = ",",
+) -> Iterator[TabularData]:
+    """Parse a headered CSV into :class:`TabularData` chunks.
+
+    The one CSV parser of the package.  It works a chunk at a time:
+    each chunk's labels and attribute cells are gathered in flat lists,
+    the cells are converted with a single ``map(float, ...)`` (Python
+    :func:`float` semantics, so ``" 1.5 "``, ``"1_000"``, ``"nan"`` and
+    ``"1e400"`` all parse as they always did), and the chunk becomes one
+    ``(rows, d)`` array.  Peak memory is ``O(chunk_size * d)``.
+
+    Blank and whitespace-only lines are skipped and do not count toward
+    a chunk, so every chunk except possibly the last holds exactly
+    ``chunk_size`` rows.  A ragged row or a non-numeric cell raises
+    :class:`DataValidationError` naming its ``file:line`` (lines count
+    every CSV record, blank ones included); the first bad line in file
+    order wins, and every chunk before it has been yielded.  A file
+    with a header but no data rows raises after the (empty) iteration.
+
+    Parameters
+    ----------
+    path:
+        File to read; a ``.gz`` suffix (e.g. ``data.csv.gz``) is
+        decompressed transparently while streaming.
+    chunk_size:
+        Rows per chunk, ``>= 1``; ``None`` yields the whole file as one
+        table.
+    label_column:
+        Header of the identifier column; defaults to the first column.
+    attribute_columns:
+        Headers to use as attributes, in order; defaults to every
+        non-label column.
+    delimiter:
+        Field separator.
+    """
+    path = pathlib.Path(path)
+    with _open_text(path) as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataValidationError(f"{path} is empty") from None
+        header, label_idx, attr_idx, names = resolve_csv_columns(
+            header, label_column, attribute_columns
+        )
+        n_fields = len(header)
+        d = len(attr_idx)
+        first = attr_idx[0]
+        if attr_idx == list(range(first, first + d)):
+            pick = operator.itemgetter(slice(first, first + d))
+        else:
+            pick = operator.itemgetter(*attr_idx)  # d >= 2: a tuple
+
+        def table(labels, cells, lines) -> TabularData:
+            try:
+                values = list(map(float, cells))
+            except ValueError:
+                for index, cell in enumerate(cells):
+                    try:
+                        float(cell)
+                    except ValueError as exc:
+                        raise DataValidationError(
+                            f"{path}:{lines[index // d]}: non-numeric "
+                            f"attribute value ({exc})"
+                        ) from None
+                raise
+            return TabularData(
+                labels=labels,
+                X=np.array(values, dtype=float).reshape(-1, d),
+                attribute_names=list(names),
+            )
+
+        labels: list[str] = []
+        cells: list[str] = []
+        lines: list[int] = []
+        n_rows = 0
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) == n_fields:
+                label = row[label_idx].strip()
+                if label or any(cell.strip() for cell in row):
+                    labels.append(label)
+                    cells.extend(pick(row))
+                    lines.append(line_no)
+                    if len(labels) == chunk_size:
+                        chunk = table(labels, cells, lines)
+                        # Drop the cell strings before the consumer
+                        # runs: only the parsed chunk stays alive.
+                        labels, cells, lines = [], [], []
+                        n_rows += chunk_size
+                        yield chunk
+            elif any(cell.strip() for cell in row):
+                # A bad cell earlier in the chunk comes first in file
+                # order, so convert the pending rows before reporting.
+                table(labels, cells, lines)
+                raise DataValidationError(
+                    f"{path}:{line_no}: expected {n_fields} fields, got "
+                    f"{len(row)}"
+                )
+        if labels:
+            chunk = table(labels, cells, lines)
+            labels, cells, lines = [], [], []
+            n_rows += len(chunk.labels)
+            yield chunk
+    if n_rows == 0:
+        raise DataValidationError(f"{path} has a header but no data rows")
+
+
 def load_csv(
     path: str | pathlib.Path,
     label_column: Optional[str] = None,
@@ -83,10 +214,14 @@ def load_csv(
 ) -> TabularData:
     """Read a headered CSV into a :class:`TabularData`.
 
+    The whole file becomes one table, parsed in a single chunk by
+    :func:`iter_csv_tables` — the parser the streaming readers use, so
+    validation and ``file:line`` error positions are identical.
+
     Parameters
     ----------
     path:
-        File to read.
+        File to read (``.gz`` decompressed transparently).
     label_column:
         Header of the identifier column; defaults to the first column.
     attribute_columns:
@@ -100,41 +235,13 @@ def load_csv(
     DataValidationError:
         On missing headers, non-numeric cells, or ragged rows.
     """
-    path = pathlib.Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path} is empty") from None
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
-
-    header, label_idx, attr_idx, attribute_columns = resolve_csv_columns(
-        header, label_column, attribute_columns
+    (table,) = iter_csv_tables(
+        path,
+        label_column=label_column,
+        attribute_columns=attribute_columns,
+        delimiter=delimiter,
     )
-
-    labels = []
-    data = []
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DataValidationError(
-                f"{path}:{line_no}: expected {len(header)} fields, got "
-                f"{len(row)}"
-            )
-        labels.append(row[label_idx].strip())
-        try:
-            data.append([float(row[i]) for i in attr_idx])
-        except ValueError as exc:
-            raise DataValidationError(
-                f"{path}:{line_no}: non-numeric attribute value ({exc})"
-            ) from None
-    if not data:
-        raise DataValidationError(f"{path} has a header but no data rows")
-    return TabularData(
-        labels=labels,
-        X=np.asarray(data, dtype=float),
-        attribute_names=list(attribute_columns),
-    )
+    return table
 
 
 def save_csv(

@@ -51,6 +51,8 @@ bytes never participate in a comparison.
 from __future__ import annotations
 
 import heapq
+import itertools
+import operator
 import pathlib
 import struct
 import tempfile
@@ -79,15 +81,58 @@ _RECORD_HEAD = struct.Struct("<dqI")
 _Entry = Tuple[float, int, str]
 
 
+#: Records packed per ``bytes`` object when writing a run: a few large
+#: writes instead of two small ones per record.
+_RECORDS_PER_WRITE = 4096
+
+#: Bytes read per call when streaming a run file back: a merge holds
+#: one such block per open run.
+_READ_BYTES = 1 << 16
+
+_encode_label = operator.methodcaller("encode", "utf-8")
+
+
+def _pack_records(
+    neg_scores: Sequence[float],
+    row_indices: Sequence[int],
+    labels: Sequence[str],
+) -> bytes:
+    """Pack aligned columns of entries as consecutive run records."""
+    data = list(map(_encode_label, labels))
+    parts: List[bytes] = [b""] * (2 * len(data))
+    parts[0::2] = map(
+        _RECORD_HEAD.pack, neg_scores, row_indices, map(len, data)
+    )
+    parts[1::2] = data
+    return b"".join(parts)
+
+
 def _write_run(path: pathlib.Path, entries: Iterable[_Entry]) -> None:
     """Write ranking-ordered entries as one run file."""
+    entries = iter(entries)
     with path.open("wb") as handle:
-        write = handle.write
-        pack = _RECORD_HEAD.pack
-        for neg_score, row_index, label in entries:
-            data = label.encode("utf-8")
-            write(pack(neg_score, row_index, len(data)))
-            write(data)
+        while True:
+            block = list(itertools.islice(entries, _RECORDS_PER_WRITE))
+            if not block:
+                return
+            handle.write(_pack_records(*zip(*block)))
+
+
+def _ranked_columns(
+    labels: Sequence[str], scores: np.ndarray, base_row: int
+) -> Tuple[List[float], List[int], List[str]]:
+    """``(neg_scores, row_indices, labels)`` of a block in ranking order.
+
+    The block's rows are consecutive global rows from ``base_row``, so
+    the stable best-first permutation breaks ties toward the earlier
+    input row — the same convention as rank_entry_key.
+    """
+    order = rank_order(scores)
+    return (
+        (-scores[order]).tolist(),
+        (order + base_row).tolist(),
+        list(map(labels.__getitem__, order.tolist())),
+    )
 
 
 def pack_run_bytes(
@@ -107,14 +152,40 @@ def pack_run_bytes(
         raise DataValidationError(
             f"{len(labels)} labels for {scores.size} scores"
         )
-    base_row = int(base_row)
-    pack = _RECORD_HEAD.pack
-    parts: List[bytes] = []
-    for idx in rank_order(scores):
-        data = labels[idx].encode("utf-8")
-        parts.append(pack(-scores[idx], base_row + int(idx), len(data)))
-        parts.append(data)
-    return b"".join(parts)
+    return _pack_records(*_ranked_columns(labels, scores, int(base_row)))
+
+
+def _iter_records(data: bytes) -> Iterator[_Entry]:
+    """Yield the complete records of ``data`` in order.
+
+    Returns (as the generator's value) the offset of the first record
+    that ``data`` holds only part of — ``len(data)`` when none.
+    """
+    head_size = _RECORD_HEAD.size
+    unpack_from = _RECORD_HEAD.unpack_from
+    offset = 0
+    total = len(data)
+    while total - offset >= head_size:
+        neg_score, row_index, label_len = unpack_from(data, offset)
+        start = offset + head_size
+        end = start + label_len
+        if end > total:
+            break
+        yield neg_score, row_index, data[start:end].decode("utf-8")
+        offset = end
+    return offset
+
+
+def _raise_truncated(tail: bytes, source: str) -> None:
+    """Report a run that ends inside a record (``tail`` is that record)."""
+    if len(tail) < _RECORD_HEAD.size:
+        raise DataValidationError(
+            f"truncated {source} ({len(tail)} trailing bytes)"
+        )
+    _, row_index, _ = _RECORD_HEAD.unpack_from(tail)
+    raise DataValidationError(
+        f"truncated {source} (label cut short at row {row_index})"
+    )
 
 
 def iter_run_bytes(data: bytes, source: str = "run bytes") -> Iterator[_Entry]:
@@ -123,55 +194,32 @@ def iter_run_bytes(data: bytes, source: str = "run bytes") -> Iterator[_Entry]:
     Raises :class:`DataValidationError` on a truncated head or label,
     mirroring :func:`_iter_run`'s corruption checks for on-disk runs.
     """
-    head_size = _RECORD_HEAD.size
-    unpack_from = _RECORD_HEAD.unpack_from
-    offset = 0
-    total = len(data)
-    while offset < total:
-        if total - offset < head_size:
-            raise DataValidationError(
-                f"truncated {source} ({total - offset} trailing bytes)"
-            )
-        neg_score, row_index, label_len = unpack_from(data, offset)
-        offset += head_size
-        if total - offset < label_len:
-            raise DataValidationError(
-                f"truncated {source} (label cut short at row {row_index})"
-            )
-        yield neg_score, row_index, data[offset:offset + label_len].decode("utf-8")
-        offset += label_len
+    offset = yield from _iter_records(data)
+    if offset < len(data):
+        _raise_truncated(data[offset:], source)
 
 
 def _iter_run(path: pathlib.Path) -> Iterator[_Entry]:
-    """Stream a run file back as entries, one record at a time.
+    """Stream a run file back as entries, reading it a block at a time.
 
-    The file handle closes when the generator is exhausted *or*
+    A truncated file (a full disk, a truncating copy) raises
+    :class:`DataValidationError` — data corruption, not a configuration
+    mistake — after every complete record has been yielded.  The file
+    handle closes when the generator is exhausted *or*
     garbage-collected (generator finalisation runs the ``with`` exit),
     so an abandoned merge does not leak descriptors.
     """
-    head_size = _RECORD_HEAD.size
-    unpack = _RECORD_HEAD.unpack
-    with path.open("rb") as handle:
-        read = handle.read
+    pending = b""
+    with path.open("rb", buffering=0) as handle:
         while True:
-            head = read(head_size)
-            if not head:
-                return
-            if len(head) != head_size:
-                # Data corruption (a full disk, a truncating copy) —
-                # not a configuration mistake.
-                raise DataValidationError(
-                    f"truncated run file {path.name} "
-                    f"({len(head)} trailing bytes)"
-                )
-            neg_score, row_index, label_len = unpack(head)
-            data = read(label_len)
-            if len(data) != label_len:
-                raise DataValidationError(
-                    f"truncated run file {path.name} "
-                    f"(label cut short at row {row_index})"
-                )
-            yield neg_score, row_index, data.decode("utf-8")
+            block = handle.read(_READ_BYTES)
+            if not block:
+                break
+            data = pending + block if pending else block
+            offset = yield from _iter_records(data)
+            pending = data[offset:]
+    if pending:
+        _raise_truncated(pending, f"run file {path.name}")
 
 
 class ExternalSorter:
@@ -316,16 +364,13 @@ class ExternalSorter:
 
     def _buffered_entries(self) -> Iterator[_Entry]:
         """The buffer's entries in ranking order (shared tie-break)."""
-        scores = np.asarray(self._scores, dtype=float)
-        # Buffered rows are consecutive global rows, so the stable
-        # best-first permutation breaks ties toward the earlier input
-        # row — the same convention as rank_entry_key / argsort(stable).
-        for idx in rank_order(scores):
-            yield (
-                -scores[idx],
-                self._base_row + int(idx),
-                self._labels[idx],
+        return zip(
+            *_ranked_columns(
+                self._labels,
+                np.asarray(self._scores, dtype=float),
+                self._base_row,
             )
+        )
 
     def _alloc_run_path(self) -> pathlib.Path:
         if self._tmpdir is None:

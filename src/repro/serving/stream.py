@@ -7,19 +7,19 @@ exports.  This module is the streaming counterpart: rows flow through a
 fixed-size buffer, so peak memory is ``O(chunk_size * d)`` no matter
 how long the file is.
 
-The pipeline has four small stages, each usable on its own:
+The pipeline has three small stages, each usable on its own:
 
-1. :func:`iter_csv_rows` — lazily parse a headered CSV (``.gz``
-   decompressed transparently) into ``(label, values)`` pairs, with
-   the same validation (and the same ``file:line`` error messages) as
-   :func:`load_csv`;
-2. :func:`iter_csv_chunks` — buffer those rows into
-   :class:`~repro.data.loaders.TabularData` chunks;
-3. :func:`iter_stream_scores` — push each chunk through
+1. :func:`iter_csv_chunks` — parse a headered CSV (``.gz``
+   decompressed transparently) a whole chunk at a time into
+   :class:`~repro.data.loaders.TabularData` chunks, through the same
+   parser as :func:`load_csv` (so the same validation and the same
+   ``file:line`` error messages); :func:`iter_csv_rows` is the
+   row-by-row view of the same parser;
+2. :func:`iter_stream_scores` — push each chunk through
    :func:`~repro.serving.batch.score_batch`, yielding
    ``(labels, scores)`` per chunk;
-4. a terminus per output shape: :func:`stream_score_csv` writes
-   ``label,score`` rows incrementally in input order;
+3. a terminus per output shape: :func:`stream_score_csv` writes
+   each chunk's ``label,score`` rows in one call, in input order;
    :func:`stream_rank_topk` folds the chunks into a bounded top-``k``
    heap (``repro score --stream --top-k N``); and
    :func:`stream_rank_csv` produces the *complete* ranking through the
@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import gzip
 import heapq
+import itertools
 import os
 import pathlib
 import tempfile
@@ -53,19 +53,7 @@ import numpy as np
 from repro.core.exceptions import ConfigurationError, DataValidationError
 from repro.core.rpc import RankingPrincipalCurve
 from repro.core.scoring import rank_entry_key
-from repro.data.loaders import TabularData, resolve_csv_columns
-
-
-def _open_text(path: pathlib.Path) -> IO[str]:
-    """Open a CSV for row-wise reading, transparently gunzipping ``.gz``.
-
-    Compressed exports stream through :mod:`gzip`'s incremental text
-    reader, so peak memory stays ``O(chunk_size * d)`` for ``.csv.gz``
-    inputs exactly as for plain CSV.
-    """
-    if path.suffix == ".gz":
-        return gzip.open(path, mode="rt", newline="")
-    return path.open(newline="")
+from repro.data.loaders import TabularData, iter_csv_tables
 
 
 @contextlib.contextmanager
@@ -107,16 +95,19 @@ def iter_csv_rows(
 ) -> Iterator[Tuple[str, np.ndarray]]:
     """Lazily yield ``(label, values)`` pairs from a headered CSV.
 
-    The file is parsed one row at a time — nothing beyond the current
-    row is held in memory.  Validation matches :func:`load_csv`: ragged
-    rows and non-numeric cells raise :class:`DataValidationError` with
-    the offending ``file:line`` position.  Blank lines are skipped.
+    A row-by-row view of :func:`~repro.data.loaders.iter_csv_tables`
+    in one-row chunks, so every row before a bad line is yielded before
+    the error.  Validation matches :func:`load_csv`: ragged rows and
+    non-numeric cells raise :class:`DataValidationError` with the
+    offending ``file:line`` position.  Blank lines are skipped.  Bulk
+    readers should use :func:`iter_csv_chunks`, which parses a whole
+    chunk per step.
 
     Parameters
     ----------
     path:
         File to read; a ``.gz`` suffix (e.g. ``data.csv.gz``) is
-        decompressed transparently while still streaming row by row.
+        decompressed transparently while still streaming.
     label_column:
         Header of the identifier column; defaults to the first column.
     attribute_columns:
@@ -125,34 +116,14 @@ def iter_csv_rows(
     delimiter:
         Field separator.
     """
-    path = pathlib.Path(path)
-    with _open_text(path) as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path} is empty") from None
-        header, label_idx, attr_idx, _ = resolve_csv_columns(
-            header, label_column, attribute_columns
-        )
-        n_fields = len(header)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != n_fields:
-                raise DataValidationError(
-                    f"{path}:{line_no}: expected {n_fields} fields, got "
-                    f"{len(row)}"
-                )
-            try:
-                values = np.array(
-                    [float(row[i]) for i in attr_idx], dtype=float
-                )
-            except ValueError as exc:
-                raise DataValidationError(
-                    f"{path}:{line_no}: non-numeric attribute value ({exc})"
-                ) from None
-            yield row[label_idx].strip(), values
+    for table in iter_csv_tables(
+        path,
+        chunk_size=1,
+        label_column=label_column,
+        attribute_columns=attribute_columns,
+        delimiter=delimiter,
+    ):
+        yield table.labels[0], table.X[0]
 
 
 def iter_csv_chunks(
@@ -162,55 +133,23 @@ def iter_csv_chunks(
     attribute_columns: Optional[Sequence[str]] = None,
     delimiter: str = ",",
 ) -> Iterator[TabularData]:
-    """Buffer :func:`iter_csv_rows` into :class:`TabularData` chunks.
+    """Parse a CSV into :class:`TabularData` chunks of ``chunk_size`` rows.
 
     Every chunk except possibly the last holds exactly ``chunk_size``
-    rows (``None`` uses the batch-scoring default).  A file with a
-    header but no data rows raises :class:`DataValidationError`, the
-    same contract as :func:`load_csv`.
+    rows (``None`` uses the batch-scoring default); each is parsed in
+    one step by :func:`~repro.data.loaders.iter_csv_tables`.  A file
+    with a header but no data rows raises :class:`DataValidationError`,
+    the same contract as :func:`load_csv`.
     """
     from repro.serving.batch import _validate_chunk_size
 
-    chunk_size = _validate_chunk_size(chunk_size)
-    path = pathlib.Path(path)
-    # Resolve the attribute names up front so an empty selection or a
-    # bad header fails on the first ``next()``, before any row is read.
-    with _open_text(path) as handle:
-        try:
-            header = next(csv.reader(handle, delimiter=delimiter))
-        except StopIteration:
-            raise DataValidationError(f"{path} is empty") from None
-    _, _, _, names = resolve_csv_columns(
-        header, label_column, attribute_columns
-    )
-
-    labels: List[str] = []
-    rows: List[np.ndarray] = []
-    n_rows = 0
-    for label, values in iter_csv_rows(
+    yield from iter_csv_tables(
         path,
+        chunk_size=_validate_chunk_size(chunk_size),
         label_column=label_column,
         attribute_columns=attribute_columns,
         delimiter=delimiter,
-    ):
-        labels.append(label)
-        rows.append(values)
-        n_rows += 1
-        if len(rows) == chunk_size:
-            yield TabularData(
-                labels=labels,
-                X=np.asarray(rows, dtype=float),
-                attribute_names=list(names),
-            )
-            labels, rows = [], []
-    if rows:
-        yield TabularData(
-            labels=labels,
-            X=np.asarray(rows, dtype=float),
-            attribute_names=list(names),
-        )
-    if n_rows == 0:
-        raise DataValidationError(f"{path} has a header but no data rows")
+    )
 
 
 def iter_stream_scores(
@@ -289,8 +228,7 @@ def stream_score_csv(
             delimiter=delimiter,
             backend=backend,
         ):
-            for label, score in zip(labels, scores):
-                writer.writerow([label, repr(float(score))])
+            writer.writerows(zip(labels, map(repr, scores.tolist())))
             n_scored += len(labels)
     return n_scored
 
@@ -364,8 +302,8 @@ def stream_rank_topk(
             # row count (and input validation) match the k > 0 path.
             n_rows += len(labels)
             continue
-        for label, score in zip(labels, scores):
-            entry = (float(score), -n_rows, label)
+        for label, score in zip(labels, scores.tolist()):
+            entry = (score, -n_rows, label)
             n_rows += 1
             if len(heap) < k:
                 heapq.heappush(heap, entry)
@@ -441,8 +379,6 @@ def stream_rank_csv(
     head = int(head)
     if head < 0:
         raise ConfigurationError(f"head must be >= 0, got {head}")
-    head_entries: List[Tuple[str, float]] = []
-    n_rows = 0
     with ExternalSorter(
         memory_budget_rows=memory_budget_rows,
         max_open_runs=max_open_runs,
@@ -458,24 +394,39 @@ def stream_rank_csv(
         ):
             sorter.add(labels, scores)
         n_rows = sorter.n_rows
-        ranked = sorter.ranked()
-        if output_path is None:
-            for position, label, score in ranked:
-                if position > head:
-                    break
-                head_entries.append((label, score))
-        else:
-            from repro.data.loaders import (
-                RANKING_CSV_HEADER,
-                ranking_csv_row,
-            )
-
-            output_path = pathlib.Path(output_path)
-            with atomic_output(output_path) as handle:
-                writer = csv.writer(handle, delimiter=delimiter)
-                writer.writerow(RANKING_CSV_HEADER)
-                for position, label, score in ranked:
-                    writer.writerow(ranking_csv_row(position, label, score))
-                    if position <= head:
-                        head_entries.append((label, score))
+        head_entries = write_ranking(
+            sorter.ranked(), output_path, head=head, delimiter=delimiter
+        )
     return n_rows, head_entries
+
+
+def write_ranking(
+    ranked: Iterator[Tuple[int, str, float]],
+    output_path: Optional[str | pathlib.Path],
+    head: int = 0,
+    delimiter: str = ",",
+) -> List[Tuple[str, float]]:
+    """Write a merged ranking as a ``position,label,score`` CSV.
+
+    ``ranked`` is an :meth:`ExternalSorter.ranked
+    <repro.serving.extsort.ExternalSorter.ranked>` stream.  Rows go
+    through :func:`~repro.data.loaders.ranking_csv_row` in one
+    ``writerows`` call, into a temp file atomically renamed to
+    ``output_path`` on success; ``None`` writes nothing.  Returns the
+    first ``head`` entries as ``(label, score)`` pairs.
+    """
+    # Looked up at call time, so a patched ranking_csv_row (the
+    # mid-write fault tests) takes effect.
+    from repro.data.loaders import RANKING_CSV_HEADER, ranking_csv_row
+
+    top = list(itertools.islice(ranked, head))
+    if output_path is not None:
+        with atomic_output(pathlib.Path(output_path)) as handle:
+            writer = csv.writer(handle, delimiter=delimiter)
+            writer.writerow(RANKING_CSV_HEADER)
+            writer.writerows(
+                itertools.starmap(
+                    ranking_csv_row, itertools.chain(top, ranked)
+                )
+            )
+    return [(label, score) for _, label, score in top]

@@ -48,7 +48,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import ConfigurationError, ReproError
 from repro.serving.extsort import ExternalSorter, iter_run_bytes
-from repro.serving.stream import atomic_output, iter_csv_chunks
+from repro.serving.stream import (
+    atomic_output,
+    iter_csv_chunks,
+    write_ranking,
+)
 from repro.sharding.hashring import ConsistentHashRing
 
 #: Rows per block — the retry/exactly-once unit and the granularity of
@@ -384,7 +388,6 @@ class ShardCoordinator:
         head = int(head)
         if head < 0:
             raise ConfigurationError(f"head must be >= 0, got {head}")
-        head_entries: List[Tuple[str, float]] = []
         with ExternalSorter(
             max_open_runs=self.max_open_runs, tmp_dir=self.tmp_dir
         ) as sorter:
@@ -401,27 +404,9 @@ class ShardCoordinator:
 
             self._run_blocks(csv_path, label_column, delimiter, _adopt)
             n_rows = sorter.n_rows
-            ranked = sorter.ranked()
-            if output_path is None:
-                for position, label, score in ranked:
-                    if position > head:
-                        break
-                    head_entries.append((label, score))
-            else:
-                from repro.data.loaders import (
-                    RANKING_CSV_HEADER,
-                    ranking_csv_row,
-                )
-
-                with atomic_output(pathlib.Path(output_path)) as handle:
-                    writer = csv.writer(handle, delimiter=delimiter)
-                    writer.writerow(RANKING_CSV_HEADER)
-                    for position, label, score in ranked:
-                        writer.writerow(
-                            ranking_csv_row(position, label, score)
-                        )
-                        if position <= head:
-                            head_entries.append((label, score))
+            head_entries = write_ranking(
+                sorter.ranked(), output_path, head=head, delimiter=delimiter
+            )
         return n_rows, head_entries
 
     def score_csv(
@@ -450,9 +435,9 @@ class ShardCoordinator:
             def _write_ready() -> None:
                 nonlocal next_to_write, n_scored
                 while next_to_write in finished:
-                    for row in finished.pop(next_to_write):
-                        writer.writerow(row)
-                        n_scored += 1
+                    rows = finished.pop(next_to_write)
+                    writer.writerows(rows)
+                    n_scored += len(rows)
                     next_to_write += 1
 
             def _stash(block: _Block, data: bytes) -> None:

@@ -67,6 +67,14 @@ class TestLoadCsv:
         with pytest.raises(DataValidationError):
             load_csv(path)
 
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        # The bad cell sits on physical line 5; the two blank lines
+        # before it must not shift the reported position.
+        path = tmp_path / "gaps.csv"
+        path.write_text("id,a,b\nx,1,2\n\n\ny,1,oops\n")
+        with pytest.raises(DataValidationError, match=r"gaps\.csv:5: "):
+            load_csv(path)
+
     def test_ragged_row_raises(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("id,v,w\na,1\n")

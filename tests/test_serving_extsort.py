@@ -35,7 +35,7 @@ from repro.serving import (
     score_batch,
     stream_rank_csv,
 )
-from repro.serving.extsort import _iter_run, _write_run
+from repro.serving.extsort import _iter_run, _write_run, pack_run_bytes
 
 ALPHA = np.array([1.0, 1.0, -1.0])
 N_ROWS = 157  # matches the streaming suite: not a multiple of any chunk
@@ -291,11 +291,89 @@ class TestSorterContract:
         with pytest.raises(DataValidationError, match="truncated run file"):
             list(_iter_run(path))
 
+    def test_run_larger_than_a_read_block_round_trips(self, tmp_path):
+        # ~190 KB of records whose boundaries fall anywhere inside the
+        # 64 KiB read blocks, and one label longer than a whole block.
+        path = tmp_path / "run.bin"
+        entries = [
+            (-1.0 + i * 1e-4, i, f"label-{i}-" + "x" * (i % 37))
+            for i in range(4000)
+        ]
+        entries.insert(1234, (-0.9, 99_999, "y" * 100_000))
+        _write_run(path, entries)
+        assert list(_iter_run(path)) == entries
+        from repro.core.exceptions import DataValidationError
+
+        data = path.read_bytes()
+        path.write_bytes(data[:-5])  # cut the last label short
+        seen = []
+        with pytest.raises(DataValidationError, match="row 3999"):
+            for entry in _iter_run(path):
+                seen.append(entry)
+        assert seen == entries[:-1]  # every complete record came first
+
     def test_unicode_labels_round_trip(self, tmp_path):
         path = tmp_path / "run.bin"
         entries = [(-0.9, 0, "Ελλάδα"), (-0.5, 1, "日本"), (-0.1, 2, "øre")]
         _write_run(path, entries)
         assert list(_iter_run(path)) == entries
+
+
+def _tied_block():
+    """A seeded 1000-row scored block with many exact score ties,
+    signed zeros and non-ASCII labels."""
+    rng = np.random.default_rng(1515)
+    scores = rng.integers(0, 200, size=1000) / 7.0
+    scores[::97] = -0.0
+    labels = [
+        f"obj{i:04d}" if i % 11 else f"\u00d8bj-{i}-\u65e5\u672c"
+        for i in range(1000)
+    ]
+    return labels, scores
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestRunFormatBytes:
+    """The run format is a wire format (shards ship it to the
+    coordinator), so its bytes are pinned, not just round-tripped."""
+
+    def test_pack_run_bytes_digest(self):
+        labels, scores = _tied_block()
+        data = pack_run_bytes(labels, scores, base_row=123_457)
+        assert _sha256(data) == (
+            "2d02b1b7dfb3d246f33a81ada41b665d905d93d7a8028a120a383527a7650fc8"
+        )
+
+    def test_spilled_run_file_digest(self):
+        labels, scores = _tied_block()
+        with ExternalSorter(memory_budget_rows=300) as sorter:
+            sorter.add(labels[:650], scores[:650])
+            sorter.add(labels[650:], scores[650:])
+            assert sorter.runs_spilled == 3
+            # The second run starts at global row 300 and spans both
+            # add() calls.
+            second = sorter._run_paths[1].read_bytes()
+        assert _sha256(second) == (
+            "1430348e5bea7109cb1cd924b7c833b3d3392082fac1c26a6305c5f00c89b8d1"
+        )
+
+    def test_merged_run_file_digest(self):
+        labels, scores = _tied_block()
+        with ExternalSorter(memory_budget_rows=300, max_open_runs=2) as sorter:
+            sorter.add(labels[:650], scores[:650])
+            sorter.add(labels[650:], scores[650:])
+            ranked = sorter.ranked()  # collapses runs 0 and 1 into one
+            merged = sorter._run_paths[-1].read_bytes()
+            got = [(label, score) for _, label, score in ranked]
+        assert _sha256(merged) == (
+            "70a7bb7652f04dd8194ce0b420e125cd878217d073ccf1f60ec2d0bdb935894f"
+        )
+        assert got == _reference(scores, labels)
 
 
 class TestStreamRankCsv:

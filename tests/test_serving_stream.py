@@ -486,3 +486,121 @@ class TestCliTopK:
         )
         assert code == 2
         assert "--stream" in capsys.readouterr().err
+
+
+class TestChunkParserEdgeCases:
+    """Chunk-at-a-time parsing must keep every row-at-a-time contract:
+    the first bad line in file order wins, chunk boundaries count data
+    rows only, and cells convert with Python ``float()`` exactly."""
+
+    @staticmethod
+    def _drain_until_error(path, chunk_size):
+        """Chunks yielded before the error, and the error itself."""
+        chunks = []
+        with pytest.raises(DataValidationError) as info:
+            for chunk in iter_csv_chunks(path, chunk_size):
+                chunks.append(chunk)
+        return chunks, str(info.value)
+
+    def test_non_numeric_cell_wins_over_later_ragged_row(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(
+            "id,a,b\nr0,1,2\nr1,1,oops\nr2,1,2\nr3,1\nr4,1,2\n"
+        )
+        chunks, message = self._drain_until_error(path, 10)
+        assert chunks == []
+        assert "mixed.csv:3: non-numeric attribute value" in message
+
+    def test_ragged_row_wins_over_later_non_numeric_cell(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("id,a,b\nr0,1,2\nr1,1\nr2,1,oops\n")
+        chunks, message = self._drain_until_error(path, 10)
+        assert chunks == []
+        assert message.endswith("mixed.csv:3: expected 3 fields, got 2")
+
+    def test_bad_cell_deep_in_a_full_chunk_reports_its_line(self, tmp_path):
+        chunk_size = 4096
+        bad_row = chunk_size + 4000  # 0-based data row, second chunk
+        lines = ["id,a,b"] + [
+            f"r{i},{i},{i + 0.5}" for i in range(2 * chunk_size)
+        ]
+        lines[1 + bad_row] = f"r{bad_row},{bad_row},1.2.3"
+        path = tmp_path / "deep.csv"
+        path.write_text("\n".join(lines) + "\n")
+        chunks, message = self._drain_until_error(path, chunk_size)
+        # The chunk before the bad one is still yielded, intact.
+        assert [chunk.X.shape for chunk in chunks] == [(chunk_size, 2)]
+        assert chunks[0].labels[-1] == f"r{chunk_size - 1}"
+        assert f"deep.csv:{bad_row + 2}: non-numeric" in message
+        assert "'1.2.3'" in message
+
+    def test_blank_rows_across_chunk_boundaries(self, tmp_path):
+        body = []
+        for i in range(13):
+            body.append(f"r{i},{i}")
+            if i in (3, 4, 5, 9):  # straddle the boundaries after 5, 10
+                body.extend(["", "   ,  ", ","])
+        path = tmp_path / "gaps.csv"
+        path.write_text("id,v\n" + "\n".join(body) + "\n\n")
+        chunks = list(iter_csv_chunks(path, 5))
+        assert [len(chunk.labels) for chunk in chunks] == [5, 5, 3]
+        assert [label for c in chunks for label in c.labels] == [
+            f"r{i}" for i in range(13)
+        ]
+        np.testing.assert_array_equal(
+            np.vstack([chunk.X for chunk in chunks]).ravel(),
+            np.arange(13.0),
+        )
+
+    def test_blank_rows_do_not_shift_error_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("id,a,b\nx,1,2\n\n\ny,1,oops\n")
+        with pytest.raises(DataValidationError, match=r"gaps\.csv:5: "):
+            list(iter_csv_chunks(path, 1))
+        with pytest.raises(DataValidationError, match=r"gaps\.csv:5: "):
+            list(iter_csv_rows(path))
+
+    def test_single_attribute_csv(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("id,v\na,1.5\nb,-2\nc,3e2\n")
+        chunks = list(iter_csv_chunks(path, 2))
+        assert [chunk.X.shape for chunk in chunks] == [(2, 1), (1, 1)]
+        np.testing.assert_array_equal(
+            np.vstack([chunk.X for chunk in chunks]).ravel(),
+            [1.5, -2.0, 300.0],
+        )
+        rows = list(iter_csv_rows(path))
+        assert [values.shape for _, values in rows] == [(1,)] * 3
+
+    def test_cells_convert_exactly_like_python_float(self, tmp_path):
+        cells = ["1_000", " 1.5 ", "nan", "-inf", "1e400", "-0.0",
+                 "1E-320", "+7", "\t2.25"]
+        rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
+        path = tmp_path / "cells.csv"
+        with path.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "a", "b", "c"])
+            for i, row in enumerate(rows):
+                writer.writerow([f"r{i}", *row])
+        expected = np.array(
+            [[float(cell) for cell in row] for row in rows], dtype=float
+        )
+        (chunk,) = iter_csv_chunks(path, 8)
+        assert chunk.X.tobytes() == expected.tobytes()
+        streamed = np.vstack([v for _, v in iter_csv_rows(path)])
+        assert streamed.tobytes() == expected.tobytes()
+        assert load_csv(path).X.tobytes() == expected.tobytes()
+
+    def test_gzip_matches_plain_chunk_for_chunk(self, workload, tmp_path):
+        import gzip
+
+        _, _, csv_path, _, _ = workload
+        gz_path = tmp_path / "fresh.csv.gz"
+        gz_path.write_bytes(gzip.compress(csv_path.read_bytes()))
+        plain = list(iter_csv_chunks(csv_path, 40, label_column="id"))
+        gz = list(iter_csv_chunks(gz_path, 40, label_column="id"))
+        assert [c.labels for c in gz] == [c.labels for c in plain]
+        assert [c.X.tobytes() for c in gz] == [c.X.tobytes() for c in plain]
+        assert [c.attribute_names for c in gz] == [
+            c.attribute_names for c in plain
+        ]
