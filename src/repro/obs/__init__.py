@@ -36,7 +36,6 @@ from repro.obs.histogram import (
     BATCH_FILL_BUCKETS,
     LATENCY_BUCKET_BOUNDS,
     N_LATENCY_BUCKETS,
-    LatencyHistogram,
     bucket_index,
     percentile_from_buckets,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "BATCH_FILL_BUCKETS",
     "LATENCY_BUCKET_BOUNDS",
     "N_LATENCY_BUCKETS",
-    "LatencyHistogram",
     "bucket_index",
     "percentile_from_buckets",
     "lint_exposition",

@@ -1,20 +1,18 @@
 """Fixed log-spaced latency buckets that merge exactly across workers.
 
-The shared fleet-metrics store used to keep a bounded *ring* of raw
-latency samples per worker and pool them at read time.  Rings have two
-problems at fleet scale: a percentile over pooled rings is only as
-representative as the ring length (old samples are overwritten, so a
-burst on one worker silently weights the estimate), and the ring cells
-dominate the store's footprint.  Histograms with **fixed, shared
-bucket bounds** fix both: bucket counts are plain sums — adding two
+The daemon's metrics store (:mod:`repro.server.metrics`) keeps each
+endpoint's latency as counts over **fixed, shared bucket bounds**
+rather than raw samples.  Bucket counts are plain sums — adding two
 workers' histograms *is* the fleet histogram, exactly, with no window
 bias — and the same bounds render directly as Prometheus
 ``_bucket{le=...}`` series, so an external scraper aggregates shards
-with the same arithmetic we use in-process.
+with the same arithmetic we use in-process, and the JSON percentiles
+(:func:`percentile_from_buckets`) are estimated from the very cells
+the exposition publishes.
 
-The bounds are part of the on-disk shared-store layout and of the
-exposition format, so they are pinned by :data:`HISTOGRAM_FORMAT_VERSION`
-and golden-valued in the test suite: changing them silently would make
+The bounds are part of the store's cell layout and of the exposition
+format, so they are pinned by :data:`HISTOGRAM_FORMAT_VERSION` and
+golden-valued in the test suite: changing them silently would make
 two differently-versioned workers disagree about what cell means what.
 
 Bounds: 32 finite upper edges from 100 us to ~4.6 s, geometric ratio
@@ -25,7 +23,7 @@ magnitude), plus one overflow bucket (``+Inf``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -90,41 +88,3 @@ def percentile_from_buckets(
     frac = (rank - prev_rank) / in_bucket
     return lower + (upper - lower) * min(max(frac, 0.0), 1.0)
 
-
-class LatencyHistogram:
-    """One endpoint's latency distribution in the shared bucket layout.
-
-    Kept by :class:`~repro.server.metrics.ServerMetrics` per endpoint
-    (single-process mode) and mirrored cell-for-cell into the shared
-    store (fleet mode).  ``observe`` is one ``searchsorted`` over 32
-    floats plus two adds — cheap enough for the request path.
-    """
-
-    __slots__ = ("counts", "sum")
-
-    def __init__(self):
-        self.counts = np.zeros(N_LATENCY_BUCKETS, dtype=np.float64)
-        self.sum = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.counts[bucket_index(seconds)] += 1.0
-        self.sum += float(seconds)
-
-    @property
-    def count(self) -> int:
-        return int(self.counts.sum())
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        merged = LatencyHistogram()
-        merged.counts = self.counts + other.counts
-        merged.sum = self.sum + other.sum
-        return merged
-
-    def percentile(self, q: float) -> float:
-        return percentile_from_buckets(self.counts, q)
-
-    def percentiles_ms(self, qs: Iterable[int]) -> Dict[str, float]:
-        """The ``latency_ms`` fragment of the ``/metrics`` payload."""
-        return {
-            f"p{q}": float(round(self.percentile(q) * 1e3, 3)) for q in qs
-        }

@@ -72,8 +72,8 @@ class MetricFamily:
     ) -> None:
         """Cumulative ``_bucket``/``_sum``/``_count`` series for one
         label set.  ``bucket_counts`` are per-bucket (not cumulative)
-        with one trailing overflow bucket, as stored by
-        :class:`~repro.obs.histogram.LatencyHistogram`."""
+        with one trailing overflow bucket, as the metrics store keeps
+        them (:mod:`repro.server.metrics`)."""
         if len(bucket_counts) != len(bounds) + 1:
             raise ValueError(
                 f"expected {len(bounds) + 1} buckets "

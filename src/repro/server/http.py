@@ -104,7 +104,7 @@ from repro.server.admission import (
     validate_tuning,
 )
 from repro.server.batching import MicroBatcher
-from repro.server.metrics import ServerMetrics, SharedMetricsStore
+from repro.server.metrics import ServerMetrics
 from repro.server.registry import ModelRegistry, UnknownModelError
 from repro.serving.batch import _validate_chunk_size, score_batch
 from repro.serving.extsort import pack_run_bytes
@@ -186,7 +186,9 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         Rows per projection chunk for batch bodies (``None`` uses the
         :mod:`repro.serving.batch` default).
     metrics:
-        Optional shared :class:`ServerMetrics`; a fresh one otherwise.
+        Optional :class:`ServerMetrics`; a fresh one (over a one-slot
+        in-memory store) otherwise.  :mod:`repro.server.pool` workers
+        pass one writing their slot of the fleet's shared store.
     batch_window:
         Cap in seconds on how long a small scoring request may wait to
         be coalesced with concurrent ones into a single engine call
@@ -208,10 +210,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         An already-listening socket to serve on *instead of* binding
         ``address`` — how :mod:`repro.server.pool` workers share one
         socket inherited from the pre-fork parent.
-    metrics_reader:
-        Optional :class:`SharedMetricsStore`; when given,
-        ``GET /metrics`` reports fleet-wide totals merged across every
-        worker slot instead of only this process's counters.
     keepalive_timeout:
         Seconds an idle keep-alive connection may sit between requests
         before its handler thread closes it; also bounds how long a
@@ -248,7 +246,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         max_inflight_per_model: int = 0,
         retry_after: float = DEFAULT_RETRY_AFTER,
         listen_socket: Optional[socket.socket] = None,
-        metrics_reader: Optional[SharedMetricsStore] = None,
         keepalive_timeout: float = 30.0,
         listen_backlog: int = 128,
         backend=None,
@@ -306,7 +303,10 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         self.registry = registry
         self.chunk_size = chunk_size
         self.metrics = metrics if metrics is not None else ServerMetrics()
-        self.metrics_reader = metrics_reader
+        #: The pool worker's slot number; ``None`` in a single-process
+        #: daemon.  Gates the pool-only ``workers`` and
+        #: ``micro_batcher_fleet`` fragments of ``/metrics``.
+        self.worker_slot: Optional[int] = None
         self.tracer = tracer
         self.keepalive_timeout = float(keepalive_timeout)
         self._draining = threading.Event()
@@ -601,52 +601,45 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
     def _get_metrics(self) -> Tuple[int, dict, int]:
         if self._wants_prometheus():
             return 200, _PlainText(_prometheus_exposition(self.server)), 0
-        snapshot = self.server.metrics.snapshot()
-        if self.server.metrics_reader is not None:
-            # Multi-worker mode: totals, per-endpoint counters and
-            # latency percentiles are fleet-wide (merged across every
-            # worker slot of the shared store).  ``recent_errors`` and
-            # ``uptime_seconds`` stay per-worker — the error ring holds
-            # free-form request ids that do not fit fixed shared cells
-            # — so the payload notes which worker answered.
-            merged = self.server.metrics_reader.merged()
-            merged["workers"]["serving_slot"] = getattr(
-                self.server, "worker_slot", None
-            )
-            snapshot.update(merged)
-        if self.server.batcher is not None:
-            snapshot["micro_batcher"] = self.server.batcher.stats()
-            snapshot["batch_fill"] = (
-                self.server.metrics.batch_fill_snapshot()
-            )
-        snapshot["admission"] = self.server.admission.stats()
+        server = self.server
+        store = server.metrics.store
+        # Counters, percentiles, engine and batch-fill numbers are the
+        # store's merged view: fleet-wide under ``--workers N``, the one
+        # slot otherwise.  ``recent_errors``, ``families`` and
+        # ``uptime_seconds`` are this process's own.
+        snapshot = server.metrics.snapshot()
+        if server.worker_slot is not None:
+            fleet = store.merged_fleet()
+            fleet["workers"]["serving_slot"] = server.worker_slot
+            snapshot.update(fleet)
+        if server.batcher is not None:
+            snapshot["micro_batcher"] = server.batcher.stats()
+            fill_counts, fill_requests = store.merged_batch_fill()
+            snapshot["batch_fill"] = {
+                "buckets": [int(b) for b in BATCH_FILL_BUCKETS],
+                "counts": [int(c) for c in fill_counts],
+                "requests_in_batches": int(fill_requests),
+            }
+        snapshot["admission"] = server.admission.stats()
         # Additive observability keys (the pre-existing key set above
         # is pinned byte-compatible by the test suite).
         snapshot["engine"] = self._engine_json()
-        snapshot["families"] = self.server.metrics.families()
-        snapshot["registry"] = self.server.registry.stats()
+        snapshot["families"] = server.metrics.families()
+        snapshot["registry"] = server.registry.stats()
         snapshot["latency_histograms"] = self._latency_histograms_json()
-        if self.server.tracer is not None:
-            snapshot["tracer"] = self.server.tracer.stats()
+        if server.tracer is not None:
+            snapshot["tracer"] = server.tracer.stats()
         return 200, snapshot, 0
 
     def _engine_json(self) -> dict:
-        """Solver telemetry — fleet-wide when a shared store exists."""
-        reader = self.server.metrics_reader
-        if reader is None:
-            out = self.server.metrics.engine_snapshot()
-            out["backend"] = self.server.backend_name
-            return out
-        cells = reader.merged_engine()
+        """Solver telemetry summed over the store's slots."""
+        cells = self.server.metrics.store.merged_engine()
         out = {
-            key: (
-                round(value, 6) if key.endswith("_seconds") else int(value)
-            )
+            key: round(value, 6) if key.endswith("_seconds") else value
             for key, value in sorted(cells.items())
-            if value
         }
-        hits = cells.get("warm_start_hits", 0)
-        misses = cells.get("warm_start_misses", 0)
+        hits = cells["warm_start_hits"]
+        misses = cells["warm_start_misses"]
         if hits or misses:
             out["warm_start_hit_rate"] = round(hits / (hits + misses), 4)
         out["backend"] = self.server.backend_name
@@ -657,18 +650,14 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
 
         The raw fixed log-spaced bucket counts plus the sum of
         observed seconds — the same cells the Prometheus exposition
-        renders.  Bucket counts are plain sums, so a shard coordinator
-        can roll up a fleet of daemons *exactly* (sum the buckets,
-        recompute percentiles) instead of averaging percentiles, which
-        is how :mod:`repro.sharding.rollup` builds the coordinator
-        ``/metrics`` view.  Fleet-wide when a shared store is attached
-        (``--workers N``), this worker's otherwise.
+        renders and the JSON percentiles are estimated from.  Bucket
+        counts are plain sums, so a shard coordinator can roll up a
+        fleet of daemons *exactly* (sum the buckets, recompute
+        percentiles) instead of averaging percentiles, which is how
+        :mod:`repro.sharding.rollup` builds the coordinator
+        ``/metrics`` view.
         """
-        reader = self.server.metrics_reader
-        if reader is None:
-            pairs = self.server.metrics.histograms()
-        else:
-            pairs = reader.merged_histograms()
+        pairs = self.server.metrics.store.merged_histograms()
         return {
             "format_version": HISTOGRAM_FORMAT_VERSION,
             "endpoints": {
@@ -1082,39 +1071,24 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
 # Prometheus exposition (``GET /metrics?format=prometheus``)
 # ----------------------------------------------------------------------
 def _prometheus_exposition(server: ScoringHTTPServer) -> str:
-    """The scrape body: counters and histograms, fleet-wide when a
-    shared store is attached (worker slots sum exactly because every
-    series is a plain count — see :mod:`repro.server.metrics`).
+    """The scrape body: counters and histograms summed over the
+    store's slots (fleet-wide under ``--workers N``; worker slots sum
+    exactly because every series is a plain count — see
+    :mod:`repro.server.metrics`).
 
     Registry, admission, batcher and tracer gauges are per-worker
     (whichever worker answered the scrape); the HELP strings say so.
     """
     metrics = server.metrics
-    reader = server.metrics_reader
-    if reader is not None:
-        merged = reader.merged()
-        endpoints = {
-            label: entry["by_status"]
-            for label, entry in merged["endpoints"].items()
-        }
-        rows_total = merged["rows_scored_total"]
-        errors_total = merged["errors_total"]
-        shed_total = merged["requests_shed_total"]
-        histograms = reader.merged_histograms()
-        engine = reader.merged_engine()
-        fill_counts, fill_sum = reader.merged_batch_fill()
-    else:
-        snapshot = metrics.snapshot()
-        endpoints = {
-            label: entry["by_status"]
-            for label, entry in snapshot["endpoints"].items()
-        }
-        rows_total = snapshot["rows_scored_total"]
-        errors_total = snapshot["errors_total"]
-        shed_total = snapshot["requests_shed_total"]
-        histograms = metrics.histograms()
-        engine = metrics.engine_cells()
-        fill_counts, fill_sum = metrics.batch_fill()
+    store = metrics.store
+    totals = store.merged_totals()
+    endpoints = {
+        label: entry["by_status"]
+        for label, entry in totals["endpoints"].items()
+    }
+    histograms = store.merged_histograms()
+    engine = store.merged_engine()
+    fill_counts, fill_sum = store.merged_batch_fill()
 
     families = []
 
@@ -1133,17 +1107,17 @@ def _prometheus_exposition(server: ScoringHTTPServer) -> str:
     for name, value, help_text in (
         (
             "repro_rows_scored_total",
-            rows_total,
+            totals["rows_scored_total"],
             "Observations scored across all scoring requests.",
         ),
         (
             "repro_errors_total",
-            errors_total,
+            totals["errors_total"],
             "Requests answered with status >= 400.",
         ),
         (
             "repro_requests_shed_total",
-            shed_total,
+            totals["requests_shed_total"],
             "Scoring requests shed by admission control (429).",
         ),
     ):
@@ -1267,11 +1241,11 @@ def _prometheus_exposition(server: ScoringHTTPServer) -> str:
     uptime.add_sample(round(metrics.uptime_seconds, 3))
     families.append(uptime)
 
-    if reader is not None:
+    if server.worker_slot is not None:
         workers = MetricFamily(
             "repro_workers", "gauge", "Worker processes in the pool."
         )
-        workers.add_sample(reader.n_slots)
+        workers.add_sample(store.n_slots)
         families.append(workers)
 
     if server.tracer is not None:

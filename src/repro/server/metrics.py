@@ -1,43 +1,32 @@
-"""Thread-safe request metrics for the scoring daemon.
+"""Request metrics for the scoring daemon: one slot-store path.
 
-The daemon handles each connection on its own thread
-(:class:`http.server.ThreadingHTTPServer`), so every counter here is
-guarded by one lock; observations are two dict updates and an append,
-cheap enough to sit on the request path.  Latencies are kept in a
-bounded per-endpoint window (most recent :data:`DEFAULT_WINDOW`
-requests) — enough for stable p50/p90/p99 estimates without unbounded
-growth on a long-lived process.
+Every observation lands in a *slot*: one row of plain ``float64``
+counter cells in a :class:`SharedMetricsStore`.  The route set and
+the status codes the daemon emits are both small closed sets, so a
+slot is a fixed dense array — an observation is a handful of aligned
+8-byte adds, no allocation, no serialisation.  Latency lives in the
+row as **fixed log-spaced histogram buckets**
+(:mod:`repro.obs.histogram`); the engine-profile counters (rows per
+solver, Newton iterations, warm-start hits, scoring calls) and the
+micro-batch fill distribution sit beside them.
 
-``GET /metrics`` returns :meth:`ServerMetrics.snapshot` as JSON; with
-``?format=prometheus`` (or ``Accept: text/plain``) the same counters
-render as Prometheus text exposition (see
-:mod:`repro.obs.prometheus`), with latency as histogram buckets.
+A single-process daemon is a one-slot fleet: its store is one
+in-memory numpy row.  In ``repro serve --workers N`` mode
+(:mod:`repro.server.pool`) the store is a memory-mapped file with one
+single-writer row per worker, so a client scraping ``/metrics`` — which
+hits whichever worker accepted the connection — still sees fleet-wide
+totals.  Either way every read (the JSON ``/metrics`` payload, the
+Prometheus exposition, the ``engine``, ``batch_fill`` and
+``latency_histograms`` keys) sums the rows, so the JSON percentiles
+and the exposition buckets are the same numbers, and bucket counts
+merge exactly across workers.  Observations are recorded *before* the
+response is sent, so a client that reads ``/metrics`` after its
+requests completed always finds them counted, whichever workers served
+what.
 
-Multi-worker aggregation
-------------------------
-In ``repro serve --workers N`` mode (:mod:`repro.server.pool`) each
-worker process keeps its own :class:`ServerMetrics`, but a client
-scraping ``/metrics`` hits *one* worker — whichever accepted the
-connection — and must still see fleet-wide totals.  Every observation
-is therefore mirrored into a :class:`SharedMetricsStore`: one
-memory-mapped file of plain ``float64`` counters, one single-writer
-slot per worker.  The route set and the status codes the daemon emits
-are both small closed sets, so a slot is a fixed dense array — an
-observation is a handful of aligned 8-byte stores (no locks, no
-serialisation, no syscalls beyond the page cache), and the serving
-worker answers ``/metrics`` by summing all slots.  Observations are
-recorded *before* the response is sent, so a client that reads
-``/metrics`` after its requests completed always finds them counted,
-whichever workers served what.
-
-Latency lives in the store as **fixed log-spaced histogram buckets**
-(:mod:`repro.obs.histogram`) rather than the pre-observability sample
-rings: bucket counts are plain sums, so merging worker slots is exact
-— no ring-window bias, no pooling heuristics — and the identical
-buckets render as Prometheus ``_bucket`` series.  The engine-profile
-counters (rows per solver, Newton iterations, warm-start hits) and the
-micro-batch fill distribution are mirrored the same way, so fleet
-totals stay exact under ``--workers N``.
+Only free-form per-process state stays out of the store: the
+``recent_errors`` window (request ids), the per-family request counts
+(free-form labels) and uptime.
 """
 
 from __future__ import annotations
@@ -52,13 +41,9 @@ import numpy as np
 from repro.obs.histogram import (
     BATCH_FILL_BUCKETS,
     N_LATENCY_BUCKETS,
-    LatencyHistogram,
     bucket_index,
     percentile_from_buckets,
 )
-
-#: Latency observations retained per endpoint for percentile estimates.
-DEFAULT_WINDOW = 1024
 
 #: Error records (endpoint, status, request id) retained for the
 #: ``recent_errors`` section of ``GET /metrics`` — enough to chase a
@@ -69,14 +54,15 @@ ERROR_WINDOW = 64
 PERCENTILES = (50, 90, 99)
 
 #: Every route label the daemon's handler can observe, plus a
-#: catch-all.  The shared store allocates dense per-slot counters from
-#: this closed set; an unknown label folds into ``"other"`` rather
+#: catch-all.  The store allocates dense per-slot counters from this
+#: closed set; an unknown label folds into ``"other"`` rather
 #: than being dropped, so fleet totals stay exact even if a route is
 #: added without extending this tuple.
 SHARED_ENDPOINTS = (
     "GET /healthz",
     "GET /metrics",
     "GET /v1/models",
+    "GET /v1/models/{name}",
     "POST /v1/models/{name}/score",
     "POST /v1/models/{name}/rank",
     "POST /v1/models/{name}/rank-shard",
@@ -96,9 +82,11 @@ SHARED_STATUSES = (200, 400, 404, 405, 408, 409, 411, 413, 422, 429, 500)
 #: any other response so fleet ``served + shed == offered`` is exact.
 SHED_STATUS = 429
 
-#: Engine-profile cells mirrored per slot, in layout order: wall time
-#: and rows per solver phase, then the solver-quality counters.  The
-#: keys match :meth:`repro.obs.engineprof.EngineProfile.totals`.
+#: Engine-profile cells per slot, in layout order: wall time and rows
+#: per solver phase, the solver-quality counters, the kernel-backend
+#: compile counters, then the number of engine executions.  All but
+#: ``scoring_calls`` match keys of
+#: :meth:`repro.obs.engineprof.EngineProfile.totals`.
 ENGINE_CELL_KEYS = (
     "grid_scan_seconds",
     "grid_scan_rows",
@@ -111,57 +99,45 @@ ENGINE_CELL_KEYS = (
     "newton_iterations",
     "warm_start_hits",
     "warm_start_misses",
+    "backend_numpy_compiles",
+    "backend_closed_form_compiles",
+    "scoring_calls",
 )
 
-#: Layout version of the shared store.  Version 2 replaced the PR 5
-#: latency sample rings with the fixed histogram buckets of
-#: :mod:`repro.obs.histogram` and added the engine/batch-fill cells;
-#: version 3 added the ``rank-shard`` endpoint label (which shifts
-#: every per-endpoint cell block).  Bump on any cell-layout change:
-#: every process mapping one file must agree on what each cell means
-#: (the pool forks workers from one parent, so in practice versions
-#: only meet across *code* versions — which is exactly the accident
-#: this constant is pinned against).
-STORE_FORMAT_VERSION = 3
-
-#: Retained for backward compatibility (the PR 5/6 test harnesses use
-#: it to size overflow workloads).  Since format version 2 the shared
-#: store keeps latency as histogram buckets, not rings, so this no
-#: longer bounds anything — merged counts stay exact at any volume.
-SHARED_LATENCY_RING = 256
+#: Layout version of the store.  Version 2 replaced latency sample
+#: rings with the fixed histogram buckets of :mod:`repro.obs.histogram`
+#: and added the engine/batch-fill cells; version 3 added the
+#: ``rank-shard`` endpoint label; version 4 added the
+#: ``GET /v1/models/{name}`` label, the backend compile counters and
+#: ``scoring_calls``.  Bump on any cell-layout change: every process
+#: mapping one file must agree on what each cell means (the pool forks
+#: workers from one parent, so in practice versions only meet across
+#: *code* versions — which is exactly the accident this constant is
+#: pinned against).
+STORE_FORMAT_VERSION = 4
 
 
 class ServerMetrics:
-    """Request counts, latency percentiles and rows-scored totals.
+    """The daemon's request metrics, written to one slot of a store.
 
-    ``mirror``, when given, is a :class:`SharedMetricsWriter`; every
-    observation is forwarded to it (under this object's lock) so that
-    sibling worker processes can fold it into fleet-wide totals.
+    ``slot`` is the :class:`SharedMetricsWriter` of this process's row:
+    a worker's row of the pool's memory-mapped file under ``--workers
+    N``, or (the default) the only row of a fresh in-memory one-slot
+    store.  Handler threads share the row, so every write goes under
+    this object's lock.  Reads come from :attr:`store`'s merged view;
+    only the free-form per-process state — ``recent_errors``,
+    per-family counts and uptime — lives here.
     """
 
-    def __init__(
-        self,
-        window: int = DEFAULT_WINDOW,
-        mirror: Optional["SharedMetricsWriter"] = None,
-    ):
+    def __init__(self, slot: Optional["SharedMetricsWriter"] = None):
+        if slot is None:
+            slot = SharedMetricsStore().writer(0)
         self._lock = threading.Lock()
-        self._window = int(window)
+        self._slot = slot
+        self.store = slot.store
         self._started = time.time()
-        self._counts: Counter[str] = Counter()
-        self._statuses: Dict[str, Counter[int]] = {}
-        self._latencies: Dict[str, Deque[float]] = {}
-        self._histograms: Dict[str, LatencyHistogram] = {}
-        self._rows_scored = 0
-        self._errors_total = 0
         self._recent_errors: Deque[dict] = deque(maxlen=ERROR_WINDOW)
-        self._engine: Dict[str, float] = {}
-        self._engine_calls = 0
-        self._batch_fill = np.zeros(
-            len(BATCH_FILL_BUCKETS) + 1, dtype=np.float64
-        )
-        self._batch_fill_requests = 0
         self._families: Counter[str] = Counter()
-        self._mirror = mirror
 
     def observe(
         self,
@@ -193,18 +169,8 @@ class ServerMetrics:
             client reports can be matched to what the daemon saw.
         """
         with self._lock:
-            self._counts[endpoint] += 1
-            self._statuses.setdefault(endpoint, Counter())[int(status)] += 1
-            self._latencies.setdefault(
-                endpoint, deque(maxlen=self._window)
-            ).append(float(seconds))
-            hist = self._histograms.get(endpoint)
-            if hist is None:
-                hist = self._histograms[endpoint] = LatencyHistogram()
-            hist.observe(seconds)
-            self._rows_scored += int(rows)
+            self._slot.observe(endpoint, status, seconds, rows)
             if int(status) >= 400:
-                self._errors_total += 1
                 self._recent_errors.append(
                     {
                         "endpoint": endpoint,
@@ -212,16 +178,14 @@ class ServerMetrics:
                         "request_id": request_id,
                     }
                 )
-            if self._mirror is not None:
-                self._mirror.observe(endpoint, status, seconds, rows)
 
     def observe_family(self, family: str) -> None:
         """Count one scoring request against a model family.
 
         Recorded after the registry resolves the model (so 404s and
         sheds do not count) and kept per-worker: family labels are
-        free-form strings that do not fit the shared store's fixed
-        cells, the same trade-off the registry stats make.
+        free-form strings that do not fit the store's fixed cells, the
+        same trade-off the registry stats make.
         """
         with self._lock:
             self._families[str(family)] += 1
@@ -235,29 +199,19 @@ class ServerMetrics:
             }
 
     @property
-    def rows_scored(self) -> int:
-        with self._lock:
-            return self._rows_scored
-
-    @property
     def uptime_seconds(self) -> float:
         return time.time() - self._started
 
     def observe_batch(self, n_requests: int, n_rows: int) -> None:
         """Record one executed micro-batch (fill telemetry).
 
-        Tracks the batch-fill distribution locally (how many member
-        requests executed batches actually coalesce — the adaptive
-        window's effectiveness signal) and forwards it to the shared
-        store in multi-worker mode so ``/metrics`` can report it
-        fleet-wide; the rest of the per-worker detail lives in
-        ``MicroBatcher.stats()``.
+        The batch-fill distribution (how many member requests executed
+        batches coalesce — the adaptive window's effectiveness signal)
+        and the largest-batch high-water marks; the rest of the
+        per-worker detail lives in ``MicroBatcher.stats()``.
         """
         with self._lock:
-            self._batch_fill[_fill_bucket(n_requests)] += 1.0
-            self._batch_fill_requests += int(n_requests)
-            if self._mirror is not None:
-                self._mirror.record_batch(n_requests, n_rows)
+            self._slot.record_batch(n_requests, n_rows)
 
     def observe_engine(self, profile) -> None:
         """Fold one scoring call's :class:`EngineProfile` into totals.
@@ -270,97 +224,21 @@ class ServerMetrics:
         if not totals:
             return
         with self._lock:
-            self._engine_calls += 1
-            for key, value in totals.items():
-                self._engine[key] = self._engine.get(key, 0.0) + value
-            if self._mirror is not None:
-                self._mirror.record_engine(totals)
-
-    def engine_snapshot(self) -> dict:
-        """Accumulated solver telemetry (the ``engine`` payload key).
-
-        Kept out of :meth:`snapshot` so that payload stays
-        byte-compatible with its pre-observability key set; the HTTP
-        layer composes the two.
-        """
-        with self._lock:
-            out = {
-                key: (
-                    round(value, 6)
-                    if key.endswith("_seconds")
-                    else int(value)
-                )
-                for key, value in sorted(self._engine.items())
-            }
-            out["scoring_calls"] = self._engine_calls
-            hits = out.get("warm_start_hits", 0)
-            misses = out.get("warm_start_misses", 0)
-            if hits or misses:
-                out["warm_start_hit_rate"] = round(
-                    hits / (hits + misses), 4
-                )
-            return out
-
-    def engine_cells(self) -> Dict[str, float]:
-        """Raw accumulated engine totals (unrounded, cell-keyed)."""
-        with self._lock:
-            return dict(self._engine)
-
-    def batch_fill(self) -> tuple:
-        """Local ``(fill_bucket_counts, total_member_requests)``."""
-        with self._lock:
-            return self._batch_fill.copy(), float(self._batch_fill_requests)
-
-    def batch_fill_snapshot(self) -> dict:
-        """Local batch-fill distribution (counts per size bucket)."""
-        with self._lock:
-            return {
-                "buckets": [int(b) for b in BATCH_FILL_BUCKETS],
-                "counts": [int(c) for c in self._batch_fill],
-                "requests_in_batches": int(self._batch_fill_requests),
-            }
-
-    def histograms(self) -> Dict[str, tuple]:
-        """Per-endpoint ``(bucket_counts, sum_seconds)`` snapshots."""
-        with self._lock:
-            return {
-                endpoint: (hist.counts.copy(), float(hist.sum))
-                for endpoint, hist in self._histograms.items()
-            }
+            self._slot.record_engine(totals)
 
     def snapshot(self) -> dict:
-        """A JSON-serialisable view of everything recorded so far."""
+        """The base ``/metrics`` payload: the store's merged counters
+        and latency percentiles plus this process's error window."""
+        totals = self.store.merged_totals()
         with self._lock:
-            endpoints = {}
-            for endpoint, count in sorted(self._counts.items()):
-                window = np.asarray(self._latencies[endpoint], dtype=float)
-                quantiles = np.percentile(window * 1e3, PERCENTILES)
-                endpoints[endpoint] = {
-                    "requests": int(count),
-                    "by_status": {
-                        str(status): int(n)
-                        for status, n in sorted(
-                            self._statuses[endpoint].items()
-                        )
-                    },
-                    "latency_ms": {
-                        f"p{p}": float(round(q, 3))
-                        for p, q in zip(PERCENTILES, quantiles)
-                    },
-                }
-            shed = sum(
-                statuses.get(SHED_STATUS, 0)
-                for statuses in self._statuses.values()
-            )
-            return {
-                "uptime_seconds": float(round(time.time() - self._started, 3)),
-                "requests_total": int(sum(self._counts.values())),
-                "rows_scored_total": int(self._rows_scored),
-                "errors_total": int(self._errors_total),
-                "requests_shed_total": int(shed),
-                "recent_errors": list(self._recent_errors),
-                "endpoints": endpoints,
-            }
+            recent_errors = list(self._recent_errors)
+        endpoints = totals.pop("endpoints")
+        return {
+            "uptime_seconds": float(round(self.uptime_seconds, 3)),
+            **totals,
+            "recent_errors": recent_errors,
+            "endpoints": endpoints,
+        }
 
 
 def _fill_bucket(n_requests: int) -> int:
@@ -372,9 +250,9 @@ def _fill_bucket(n_requests: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Cross-process aggregation (``--workers N``)
+# The slot store
 # ----------------------------------------------------------------------
-#: Per-slot layout of the shared store, in float64 cells:
+#: Per-slot layout of the store, in float64 cells:
 #: ``[counts (E x S) | rows_scored | largest_batch_requests |
 #: largest_batch_rows | batch-fill buckets (+overflow) |
 #: batch-fill request sum | engine cells | latency histograms
@@ -399,31 +277,38 @@ SLOT_CELLS = _HIST_OFFSET + _N_ENDPOINTS * _HIST_CELLS
 _ENDPOINT_INDEX = {label: i for i, label in enumerate(SHARED_ENDPOINTS)}
 _STATUS_INDEX = {code: i for i, code in enumerate(SHARED_STATUSES)}
 _ENGINE_INDEX = {key: i for i, key in enumerate(ENGINE_CELL_KEYS)}
+_SCORING_CALLS_CELL = _ENGINE_OFFSET + _ENGINE_INDEX["scoring_calls"]
 
 
 class SharedMetricsStore:
-    """A memory-mapped counter file shared by every worker process.
+    """Rows of metric cells, one single-writer slot per process.
 
-    The parent creates the file (zero-filled) before forking; each
-    worker obtains a single-writer :class:`SharedMetricsWriter` for its
-    own slot, and any worker can :meth:`snapshot` the fleet.  Cells are
-    aligned ``float64`` — single stores on every platform we run on —
-    and each slot has exactly one writer, so no cross-process locking
-    is needed; a reader can at worst see a request that is mid-flight,
-    never a torn counter that was already reported to its client.
+    With ``path=None`` (the default) the rows are a plain in-memory
+    numpy array — the single-process daemon's one-slot store.  With a
+    ``path`` they are a memory-mapped file: the pool parent creates it
+    (zero-filled, ``create=True``) before forking, each worker maps it
+    and obtains a :class:`SharedMetricsWriter` for its own slot, and
+    any worker can read the fleet.  Cells are aligned ``float64`` —
+    single stores on every platform we run on — and each slot has
+    exactly one writer, so no cross-process locking is needed; a reader
+    can at worst see a request that is mid-flight, never a torn counter
+    that was already reported to its client.
     """
 
-    def __init__(self, path, n_slots: int, create: bool = False):
-        self.path = str(path)
+    def __init__(self, path=None, n_slots: int = 1, create: bool = False):
+        self.path = None if path is None else str(path)
         self.n_slots = int(n_slots)
         if self.n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-        mode = "w+" if create else "r+"
+        shape = (self.n_slots, SLOT_CELLS)
+        if self.path is None:
+            self._cells = np.zeros(shape, dtype=np.float64)
+            return
         self._cells = np.memmap(
             self.path,
             dtype=np.float64,
-            mode=mode,
-            shape=(self.n_slots, SLOT_CELLS),
+            mode="w+" if create else "r+",
+            shape=shape,
         )
         if create:
             self._cells[:] = 0.0
@@ -433,20 +318,22 @@ class SharedMetricsStore:
         return SharedMetricsWriter(self, slot)
 
     def merged(self) -> dict:
-        """Fleet-wide totals summed over every worker slot.
+        """:meth:`merged_totals` plus the :meth:`merged_fleet` fragments."""
+        return {**self.merged_totals(), **self.merged_fleet()}
 
-        Returns the aggregation fragment of the ``/metrics`` payload:
-        ``requests_total`` / ``rows_scored_total`` / ``errors_total``,
-        per-endpoint request and status counts, latency percentiles
-        estimated from the summed histogram buckets (exact bucket
-        merges — see :mod:`repro.obs.histogram`), and the per-worker
-        request totals (handy for spotting a dead or starved worker).
+    def merged_totals(self) -> dict:
+        """Counters summed over every slot.
+
+        ``requests_total`` / ``rows_scored_total`` / ``errors_total`` /
+        ``requests_shed_total`` and, per endpoint, request and status
+        counts and latency percentiles estimated from the summed
+        histogram buckets (exact bucket merges — see
+        :mod:`repro.obs.histogram`).
         """
-        cells = np.array(self._cells, dtype=np.float64)  # snapshot copy
-        counts = cells[:, :_COUNTS_CELLS].reshape(
+        cells = self._read()
+        total_counts = cells[:, :_COUNTS_CELLS].reshape(
             self.n_slots, _N_ENDPOINTS, _N_STATUSES
-        )
-        total_counts = counts.sum(axis=0)  # (E, S)
+        ).sum(axis=0)  # (E, S)
         histograms = self._merged_histogram_cells(cells)
         endpoints: Dict[str, dict] = {}
         for e, label in enumerate(SHARED_ENDPOINTS):
@@ -475,7 +362,7 @@ class SharedMetricsStore:
             endpoints[label] = entry
         status_codes = np.array(list(SHARED_STATUSES) + [0])
         error_mask = (status_codes >= 400) | (status_codes == 0)
-        merged = {
+        return {
             "requests_total": int(total_counts.sum()),
             "rows_scored_total": int(cells[:, _ROWS_CELL].sum()),
             "errors_total": int(total_counts[:, error_mask].sum()),
@@ -483,39 +370,47 @@ class SharedMetricsStore:
                 total_counts[:, _STATUS_INDEX[SHED_STATUS]].sum()
             ),
             "endpoints": endpoints,
+        }
+
+    def merged_fleet(self) -> dict:
+        """The pool-only fragments of ``/metrics``.
+
+        ``workers``: the per-slot request totals (handy for spotting a
+        dead or starved worker); ``micro_batcher_fleet``, once any
+        batch executed: the fleet-wide batch high-water marks (per-worker
+        detail stays in each worker's ``micro_batcher`` section).
+        """
+        cells = self._read()
+        fleet = {
             "workers": {
                 "count": self.n_slots,
                 "requests": [
-                    int(counts[slot].sum()) for slot in range(self.n_slots)
+                    int(n) for n in cells[:, :_COUNTS_CELLS].sum(axis=1)
                 ],
             },
         }
         largest_reqs = int(cells[:, _BATCH_REQS_CELL].max())
         if largest_reqs > 0:
-            # Fleet-wide batch-fill high-water marks (per-worker detail
-            # stays in each worker's ``micro_batcher`` section).
-            merged["micro_batcher_fleet"] = {
+            fleet["micro_batcher_fleet"] = {
                 "largest_batch_requests": largest_reqs,
-                "largest_batch_rows": int(
-                    cells[:, _BATCH_ROWS_CELL].max()
-                ),
+                "largest_batch_rows": int(cells[:, _BATCH_ROWS_CELL].max()),
             }
-        return merged
+        return fleet
 
     def merged_histograms(self) -> Dict[str, tuple]:
         """Per-endpoint ``(bucket_counts, sum_seconds)`` fleet sums,
         for endpoints that have observed at least one request."""
-        cells = np.array(self._cells, dtype=np.float64)
         return {
             label: pair
-            for label, pair in self._merged_histogram_cells(cells).items()
+            for label, pair in self._merged_histogram_cells(
+                self._read()
+            ).items()
             if pair[0].sum() > 0
         }
 
     def merged_engine(self) -> Dict[str, float]:
         """Fleet-summed engine cells keyed by :data:`ENGINE_CELL_KEYS`."""
-        cells = np.array(self._cells, dtype=np.float64)
-        sums = cells[
+        sums = self._read()[
             :, _ENGINE_OFFSET:_ENGINE_OFFSET + _N_ENGINE_CELLS
         ].sum(axis=0)
         return {
@@ -529,11 +424,15 @@ class SharedMetricsStore:
 
     def merged_batch_fill(self) -> tuple:
         """Fleet ``(fill_bucket_counts, total_member_requests)``."""
-        cells = np.array(self._cells, dtype=np.float64)
+        cells = self._read()
         counts = cells[
             :, _FILL_OFFSET:_FILL_OFFSET + _N_FILL_BUCKETS
         ].sum(axis=0)
         return counts, float(cells[:, _FILL_SUM_CELL].sum())
+
+    def _read(self) -> np.ndarray:
+        """A snapshot copy of every slot's cells."""
+        return np.array(self._cells, dtype=np.float64)
 
     @staticmethod
     def _merged_histogram_cells(cells: np.ndarray) -> Dict[str, tuple]:
@@ -547,11 +446,11 @@ class SharedMetricsStore:
 
 
 class SharedMetricsWriter:
-    """Single-writer view of one worker's slot in the shared store.
+    """Single-writer view of one slot in a :class:`SharedMetricsStore`.
 
-    Thread-safety: the owning :class:`ServerMetrics` forwards
-    observations under its own lock, so writes to this slot are
-    already serialised within the worker; no other process writes it.
+    Thread-safety: the owning :class:`ServerMetrics` writes under its
+    own lock, so writes to this slot are serialised within the process;
+    no other process writes it.
     """
 
     def __init__(self, store: SharedMetricsStore, slot: int):
@@ -559,8 +458,9 @@ class SharedMetricsWriter:
             raise ValueError(
                 f"slot {slot} out of range for {store.n_slots} workers"
             )
-        self._row = store._cells[int(slot)]
+        self.store = store
         self.slot = int(slot)
+        self._row = store._cells[self.slot]
 
     def observe(
         self, endpoint: str, status: int, seconds: float, rows: int = 0
@@ -588,9 +488,11 @@ class SharedMetricsWriter:
     def record_engine(self, totals: Dict[str, float]) -> None:
         """Add one scoring call's engine-profile totals to the slot.
 
-        Unknown keys are ignored (an engine phase added without a cell
-        should degrade to "not mirrored", not corrupt a neighbour)."""
+        Counts the call in ``scoring_calls``.  Unknown keys are ignored
+        (an engine counter added without a cell should degrade to "not
+        reported", not corrupt a neighbour)."""
         row = self._row
+        row[_SCORING_CALLS_CELL] += 1.0
         for key, value in totals.items():
             i = _ENGINE_INDEX.get(key)
             if i is not None:

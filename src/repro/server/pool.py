@@ -34,9 +34,11 @@ Supervision and shutdown contract
   knobs in place (:func:`install_tuning_reload`) — zero downtime, no
   in-flight request dropped.
 
-Metrics are aggregated across workers through a shared memory-mapped
-counter file (:class:`~repro.server.metrics.SharedMetricsStore`), so
-``GET /metrics`` answered by any worker reports fleet totals.
+Each worker writes its metrics to its own slot of a shared
+memory-mapped counter file
+(:class:`~repro.server.metrics.SharedMetricsStore`) — the same slot
+store a single process keeps in memory — so ``GET /metrics`` answered
+by any worker reports fleet totals.
 """
 
 from __future__ import annotations
@@ -399,7 +401,7 @@ class WorkerPool:
                 (self.host, self.port),
                 registry,
                 chunk_size=self.chunk_size,
-                metrics=ServerMetrics(mirror=store.writer(slot)),
+                metrics=ServerMetrics(store.writer(slot)),
                 batch_window=self.batch_window,
                 max_batch_rows=self.max_batch_rows,
                 batch_policy=self.batch_policy,
@@ -407,7 +409,6 @@ class WorkerPool:
                 max_inflight_per_model=self.max_inflight_per_model,
                 retry_after=self.retry_after,
                 listen_socket=self._socket,
-                metrics_reader=store,
                 keepalive_timeout=self.keepalive_timeout,
                 backend=self.backend,
                 tracer=tracer,

@@ -23,7 +23,6 @@ from repro.obs import (
     NULL_TRACE,
     AccessLog,
     EngineProfile,
-    LatencyHistogram,
     Trace,
     TraceError,
     Tracer,
@@ -36,6 +35,15 @@ from repro.obs import (
 )
 from repro.obs.histogram import HISTOGRAM_FORMAT_VERSION
 from repro.obs.prometheus import MetricFamily
+
+
+def _histogram(samples) -> tuple:
+    """``(bucket_counts, sum_seconds)`` of latency samples — the pair
+    the metrics store keeps per endpoint."""
+    counts = np.zeros(N_LATENCY_BUCKETS)
+    for seconds in samples:
+        counts[bucket_index(seconds)] += 1.0
+    return counts, float(sum(samples))
 
 
 class TestHistogramFormat:
@@ -68,28 +76,28 @@ class TestHistogramFormat:
         assert bucket_index(100.0) == len(LATENCY_BUCKET_BOUNDS)
 
     def test_observe_then_percentile_roundtrip(self):
-        hist = LatencyHistogram()
-        for ms in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000):
-            hist.observe(ms / 1e3)
-        assert hist.count == 10
-        p50 = hist.percentile(50)
+        counts, _ = _histogram(
+            [ms / 1e3 for ms in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)]
+        )
+        assert counts.sum() == 10
+        p50 = percentile_from_buckets(counts, 50)
         # The estimate is bucket-resolution accurate (~±19%).
         assert 10e-3 <= p50 <= 30e-3
-        assert hist.percentile(99) >= hist.percentile(50)
+        assert percentile_from_buckets(counts, 99) >= p50
 
     def test_merge_is_exact_addition(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        for ms in (1, 4, 9):
-            a.observe(ms / 1e3)
-        for ms in (2, 8, 32, 128):
-            b.observe(ms / 1e3)
-        merged = a.merge(b)
-        assert merged.count == 7
-        assert merged.sum == pytest.approx(a.sum + b.sum)
-        np.testing.assert_array_equal(merged.counts, a.counts + b.counts)
+        a_samples = [ms / 1e3 for ms in (1, 4, 9)]
+        b_samples = [ms / 1e3 for ms in (2, 8, 32, 128)]
+        a, b = _histogram(a_samples), _histogram(b_samples)
+        # Bucketing the union of two workers' samples == adding their
+        # bucket vectors: the merge the store does across slots.
+        merged = _histogram(a_samples + b_samples)
+        assert merged[0].sum() == 7
+        assert merged[1] == pytest.approx(a[1] + b[1])
+        np.testing.assert_array_equal(merged[0], a[0] + b[0])
 
     def test_empty_histogram_percentile_is_zero(self):
-        assert LatencyHistogram().percentile(99) == 0.0
+        assert percentile_from_buckets(_histogram([])[0], 99) == 0.0
         assert percentile_from_buckets([0] * N_LATENCY_BUCKETS, 50) == 0.0
 
     def test_overflow_rank_reports_largest_finite_edge(self):

@@ -265,7 +265,7 @@ class TestSharedShedAndBatchTelemetry:
             tmp_path / "metrics.mmap", n_slots=2, create=True
         )
         workers = [
-            ServerMetrics(mirror=store.writer(slot)) for slot in range(2)
+            ServerMetrics(store.writer(slot)) for slot in range(2)
         ]
         for slot, metrics in enumerate(workers):
             for _ in range(5):
@@ -286,7 +286,7 @@ class TestSharedShedAndBatchTelemetry:
             tmp_path / "metrics.mmap", n_slots=2, create=True
         )
         workers = [
-            ServerMetrics(mirror=store.writer(slot)) for slot in range(2)
+            ServerMetrics(store.writer(slot)) for slot in range(2)
         ]
         workers[0].observe_batch(3, 24)
         workers[1].observe_batch(5, 10)
@@ -300,7 +300,7 @@ class TestSharedShedAndBatchTelemetry:
         store = SharedMetricsStore(
             tmp_path / "metrics.mmap", n_slots=1, create=True
         )
-        ServerMetrics(mirror=store.writer(0)).observe(
+        ServerMetrics(store.writer(0)).observe(
             SCORE_ENDPOINT, 200, 0.001, rows=1
         )
         assert "micro_batcher_fleet" not in store.merged()

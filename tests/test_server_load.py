@@ -41,7 +41,6 @@ import pytest
 from repro import RankingPrincipalCurve
 from repro.data.synthetic import sample_monotone_cloud
 from repro.server import ServerMetrics, SharedMetricsStore
-from repro.server.metrics import SHARED_LATENCY_RING
 from repro.serving import save_model, score_batch
 
 ALPHA = np.array([1.0, 1.0, -1.0])
@@ -430,7 +429,7 @@ class TestSharedMetricsStore:
         # Simulate three workers (same process: the layout, not the
         # fork, is under test) mirroring through ServerMetrics.
         workers = [
-            ServerMetrics(mirror=store.writer(slot)) for slot in range(3)
+            ServerMetrics(store.writer(slot)) for slot in range(3)
         ]
         for slot, metrics in enumerate(workers):
             for i in range(10 * (slot + 1)):
@@ -452,7 +451,7 @@ class TestSharedMetricsStore:
             tmp_path / "metrics.mmap", n_slots=1, create=True
         )
         writer = store.writer(0)
-        n = SHARED_LATENCY_RING * 2 + 17
+        n = 529
         for i in range(n):
             writer.observe("GET /healthz", 200, 1e-4)
         merged = store.merged()

@@ -12,7 +12,11 @@ daemon, plus the regression pins that rode along:
   slots (bucket counts are plain sums), while the JSON ``/metrics``
   snapshot keeps its pre-histogram key set byte for byte;
 * unrouted and wrong-method requests are counted in ``/metrics``
-  (they used to be answered without being observed).
+  (they used to be answered without being observed);
+* one metrics path: a single-process daemon is a one-slot store, so
+  its JSON percentiles are the exposition's histogram buckets, every
+  route has its own label, and ``batch_fill`` / ``engine`` are
+  fleet-wide under ``--workers N``.
 
 The slowest test boots the real CLI daemon with ``--workers 2
 --batch-window-ms 5 --trace on`` and retrieves traces across worker
@@ -53,6 +57,7 @@ from repro.obs.histogram import (
     LATENCY_BUCKET_BOUNDS,
     N_LATENCY_BUCKETS,
     bucket_index,
+    percentile_from_buckets,
 )
 from repro.serving import save_model
 
@@ -203,19 +208,22 @@ class TestBatcherStatsLocking:
 
 
 class TestSharedHistogramMerge:
-    """The latency-histogram cells of the shared store (format v3)."""
+    """The latency-histogram cells of the shared store (format v4)."""
 
     def test_format_version_pins_layout(self):
-        # STORE_FORMAT_VERSION 3 == histogram cells with these bounds
-        # and the rank-shard endpoint label in the cell layout.
-        # Changing the bounds, the endpoint tuple or the engine cell
-        # list is a layout change: bump the version and fix this
-        # golden.
-        assert STORE_FORMAT_VERSION == 3
+        # STORE_FORMAT_VERSION 4 == histogram cells with these bounds,
+        # the rank-shard and model-info endpoint labels, and the
+        # backend-compile and scoring_calls engine cells.  Changing
+        # the bounds, the endpoint tuple or the engine cell list is a
+        # layout change: bump the version and fix this golden.
+        assert STORE_FORMAT_VERSION == 4
         assert HISTOGRAM_FORMAT_VERSION == 1
         assert len(LATENCY_BUCKET_BOUNDS) == 32
-        assert len(ENGINE_CELL_KEYS) == 11
+        assert len(ENGINE_CELL_KEYS) == 14
+        assert ENGINE_CELL_KEYS[-1] == "scoring_calls"
+        assert len(SHARED_ENDPOINTS) == 12
         assert "POST /v1/models/{name}/rank-shard" in SHARED_ENDPOINTS
+        assert "GET /v1/models/{name}" in SHARED_ENDPOINTS
 
     def test_concurrent_worker_writes_sum_exactly(self, tmp_path):
         n_slots, per_worker = 4, 500
@@ -223,7 +231,7 @@ class TestSharedHistogramMerge:
             tmp_path / "metrics.mmap", n_slots=n_slots, create=True
         )
         workers = [
-            ServerMetrics(mirror=store.writer(slot))
+            ServerMetrics(store.writer(slot))
             for slot in range(n_slots)
         ]
         # Deterministic latencies spread across several buckets.
@@ -263,7 +271,7 @@ class TestSharedHistogramMerge:
             tmp_path / "metrics.mmap", n_slots=2, create=True
         )
         workers = [
-            ServerMetrics(mirror=store.writer(slot)) for slot in range(2)
+            ServerMetrics(store.writer(slot)) for slot in range(2)
         ]
         for slot, metrics in enumerate(workers):
             profile = EngineProfile()
@@ -278,6 +286,7 @@ class TestSharedHistogramMerge:
         assert merged["newton_seconds"] == pytest.approx(0.030)
         assert merged["warm_start_hits"] == 16
         assert merged["warm_start_misses"] == 4
+        assert merged["scoring_calls"] == 2
 
     def test_json_snapshot_stays_byte_compatible(self):
         """The pre-PR-7 snapshot key set, frozen."""
@@ -303,7 +312,7 @@ class TestSharedHistogramMerge:
         store = SharedMetricsStore(
             tmp_path / "metrics.mmap", n_slots=2, create=True
         )
-        metrics = ServerMetrics(mirror=store.writer(0))
+        metrics = ServerMetrics(store.writer(0))
         metrics.observe(SCORE_ENDPOINT, 200, 0.002, rows=3)
         merged = store.merged()
         assert set(merged) == {
@@ -469,18 +478,170 @@ class TestTracedServer:
         assert endpoints["GET (scoring route)"]["by_status"]["405"] >= 1
 
     def test_engine_counters_accumulate_in_metrics(self, traced_server):
-        server, base = traced_server
-        before = server.metrics.engine_snapshot()["scoring_calls"]
+        _, base = traced_server
+
+        def engine():
+            return json.loads(_request(base, "GET", "/metrics")[2])["engine"]
+
+        before = engine()["scoring_calls"]
         _request(
             base,
             "POST",
             "/v1/models/demo/score",
             json.dumps({"rows": [[1.0, 2.0, 3.0]] * 8}).encode(),
         )
-        snap = server.metrics.engine_snapshot()
+        snap = engine()
         assert snap["scoring_calls"] == before + 1
         assert snap.get("newton_rows", 0) >= 8
         assert snap.get("newton_seconds", 0) > 0
+
+
+def _batch_fill_series(exposition: str) -> tuple:
+    """De-cumulated ``repro_batch_fill_requests_bucket`` counts and
+    the ``_sum`` sample of an exposition."""
+    cumulative = [
+        float(value)
+        for value in re.findall(
+            r"^repro_batch_fill_requests_bucket\{[^}]*\} (\S+)$",
+            exposition,
+            flags=re.M,
+        )
+    ]
+    (total,) = re.findall(
+        r"^repro_batch_fill_requests_sum (\S+)$", exposition, flags=re.M
+    )
+    counts = np.diff([0.0] + cumulative)
+    return [int(c) for c in counts], float(total)
+
+
+class TestOneMetricsPath:
+    """Every ``/metrics`` read comes from the slot store, whether the
+    daemon is a single process (one in-memory slot) or a pool worker
+    (its slot of the shared file)."""
+
+    def test_every_route_has_its_own_label(self, traced_server):
+        _, base = traced_server
+        rows = json.dumps({"rows": [[1.0, 2.0, 3.0]] * 2}).encode()
+        status, headers, _ = _request(base, "GET", "/healthz")
+        assert status == 200
+        calls = [
+            ("GET", "/metrics", None, 200),
+            ("GET", "/v1/models", None, 200),
+            ("GET", "/v1/models/demo", None, 200),
+            ("POST", "/v1/models/demo/score", rows, 200),
+            ("POST", "/v1/models/demo/rank", rows, 200),
+            ("POST", "/v1/models/demo/rank-shard", rows, 200),
+            (
+                "GET",
+                f"/v1/debug/trace/{headers['X-Request-Id']}",
+                None,
+                200,
+            ),
+            ("GET", "/v1/models/demo/score", None, 405),
+            ("GET", "/nope", None, 404),
+            ("POST", "/nope", b"{}", 404),
+        ]
+        for method, path, body, expected in calls:
+            assert _request(base, method, path, body)[0] == expected, path
+        endpoints = json.loads(_request(base, "GET", "/metrics")[2])[
+            "endpoints"
+        ]
+        assert "other" not in endpoints
+        assert set(endpoints) == set(SHARED_ENDPOINTS) - {"other"}
+
+    def test_json_percentiles_are_the_histogram_buckets(self, traced_server):
+        _, base = traced_server
+        for _ in range(20):
+            _request(base, "GET", "/healthz")
+        _request(
+            base,
+            "POST",
+            "/v1/models/demo/score",
+            json.dumps({"row": [1.0, 2.0, 3.0]}).encode(),
+        )
+        snap = json.loads(_request(base, "GET", "/metrics")[2])
+        # A single process keeps the base key set and has no fleet
+        # fragments.
+        assert set(snap) == {
+            "uptime_seconds",
+            "requests_total",
+            "rows_scored_total",
+            "errors_total",
+            "requests_shed_total",
+            "recent_errors",
+            "endpoints",
+            "micro_batcher",
+            "batch_fill",
+            "admission",
+            "engine",
+            "families",
+            "registry",
+            "latency_histograms",
+            "tracer",
+        }
+        buckets = snap["latency_histograms"]["endpoints"]
+        assert set(buckets) == set(snap["endpoints"])
+        for endpoint, entry in snap["endpoints"].items():
+            counts = buckets[endpoint]["buckets"]
+            assert sum(counts) == entry["requests"]
+            assert entry["latency_ms"] == {
+                f"p{p}": round(percentile_from_buckets(counts, p) * 1e3, 3)
+                for p in (50, 90, 99)
+            }
+
+    def test_fleet_batch_fill_matches_exposition(self, saved, tmp_path):
+        _, _, path = saved
+        registry = ModelRegistry()
+        registry.register("demo", str(path))
+        store = SharedMetricsStore(
+            tmp_path / "metrics.mmap", n_slots=2, create=True
+        )
+        server = ScoringHTTPServer(
+            ("127.0.0.1", 0),
+            registry,
+            metrics=ServerMetrics(store.writer(0)),
+            batch_window=0.005,
+        )
+        server.worker_slot = 0
+        # The sibling worker's batches and engine calls, written to
+        # its own slot.
+        sibling = ServerMetrics(store.writer(1))
+        sibling.observe_batch(3, 12)
+        sibling.observe_batch(9, 40)
+        profile = EngineProfile()
+        profile.add_phase("newton", 0.001, rows=40)
+        sibling.observe_engine(profile)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            for _ in range(2):
+                status, _, _ = _request(
+                    base,
+                    "POST",
+                    "/v1/models/demo/score",
+                    json.dumps({"row": [1.0, 2.0, 3.0]}).encode(),
+                )
+                assert status == 200
+            snap = json.loads(_request(base, "GET", "/metrics")[2])
+            text = _request(base, "GET", "/metrics?format=prometheus")[2]
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert lint_exposition(text.decode()) == []
+        counts, total = _batch_fill_series(text.decode())
+        fill = snap["batch_fill"]
+        assert fill["counts"] == counts
+        assert fill["requests_in_batches"] == total
+        # Fleet-wide: this worker's two single-request batches plus
+        # the sibling's two.
+        assert sum(fill["counts"]) == 4
+        assert fill["requests_in_batches"] == 2 + 3 + 9
+        assert snap["engine"]["scoring_calls"] == 3
+        assert snap["workers"]["count"] == 2
+        assert snap["workers"]["serving_slot"] == 0
+        assert snap["micro_batcher_fleet"]["largest_batch_requests"] == 9
+        assert "repro_workers 2" in text.decode()
 
 
 def _boot_daemon(model_path, extra_args=()):
