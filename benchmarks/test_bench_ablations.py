@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the paper's design choices.
 
 1. **Degree k** — the paper argues k=3 is the sweet spot: k=2 cannot
    represent all monotone shapes (higher train error on an S-shaped

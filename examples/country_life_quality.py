@@ -32,7 +32,7 @@ def main() -> None:
     data = load_countries()
     print(f"countries: {data.n_countries}   attributes: GDP, LEB, IMR, TB")
     print(f"alpha = {data.alpha}   ({int(data.is_from_paper.sum())} rows "
-          "embedded verbatim from Table 2, rest synthesised — see DESIGN.md)")
+          "embedded verbatim from Table 2, the rest synthesized)")
 
     model = RankingPrincipalCurve(alpha=data.alpha, random_state=0)
     with warnings.catch_warnings():

@@ -27,7 +27,7 @@ def main() -> None:
     print(f"journals: {data.n_journals}   attributes: IF, 5IF, ImmInd, "
           "Eigenfactor, IS")
     print(f"({int(data.is_from_paper.sum())} rows embedded verbatim from "
-          "Table 3, rest synthesised — see DESIGN.md)")
+          "Table 3, the rest synthesized)")
 
     model = RankingPrincipalCurve(alpha=data.alpha, random_state=0)
     with warnings.catch_warnings():

@@ -52,7 +52,7 @@ class InverseRankingFunction:
     def __init__(
         self,
         curve: BezierCurve,
-        method: ProjectionMethod = "gss",
+        method: ProjectionMethod = "newton",
     ):
         self.curve = curve
         self.method = method
@@ -136,7 +136,7 @@ def verify_inverse_duality(
     curve: BezierCurve,
     alpha: np.ndarray,
     n_samples: int = 101,
-    method: ProjectionMethod = "gss",
+    method: ProjectionMethod = "newton",
 ) -> DualityReport:
     """Empirically verify ``phi = f^{-1}`` on curve samples.
 

@@ -9,8 +9,8 @@ condition picking each ``s_i`` as the projection index of ``x_i``.  The
 solver alternates:
 
 1. **Projection step** — hold ``P``, solve Eq.(20) for every ``s_i``
-   (Golden Section Search by default; see
-   :mod:`repro.core.projection`).
+   (safeguarded Newton by default, the paper's Golden Section Search
+   with ``projection="gss"``; see :mod:`repro.core.projection`).
 2. **Control-point step** — hold ``s``, move ``P`` by either one
    preconditioned Richardson step (Eq.(27), the paper's update) or the
    closed-form pseudo-inverse solution (Eq.(26), kept as an ablation),
@@ -46,6 +46,9 @@ from repro.linalg.pseudoinverse import pinv_solve
 from repro.linalg.richardson import optimal_step_size, richardson_step
 
 UpdateMethod = Literal["richardson", "pinv"]
+
+_VALID_UPDATES = ("richardson", "pinv")
+_VALID_INITS = ("random", "linear")
 
 
 @dataclass
@@ -204,7 +207,7 @@ def fit_rpc_curve(
     X: np.ndarray,
     alpha: np.ndarray,
     degree: int = 3,
-    projection: ProjectionMethod = "gss",
+    projection: ProjectionMethod = "newton",
     update: UpdateMethod = "richardson",
     precondition: bool = True,
     xi: float = 1e-6,

@@ -5,9 +5,9 @@
 1. min–max normalisation of raw observations into ``[0, 1]^d``
    (Eq.(29)), remembered so new points and control points can be mapped
    both ways;
-2. Algorithm 1 (alternating Golden-Section projection and
-   preconditioned-Richardson control-point updates) with optional
-   multi-restart over random initialisations;
+2. Algorithm 1 (alternating projection and preconditioned-Richardson
+   control-point updates) with optional multi-restart over random
+   initialisations;
 3. scoring: the projection index ``s in [0, 1]`` of a (normalised)
    observation is its ranking score, 0 = worst reference corner,
    1 = best reference corner.
@@ -28,9 +28,19 @@ from repro.core.exceptions import (
     DataValidationError,
     NotFittedError,
 )
-from repro.core.learning import FitResult, LearningTrace, fit_rpc_curve
+from repro.core.learning import (
+    _VALID_INITS,
+    _VALID_UPDATES,
+    FitResult,
+    LearningTrace,
+    fit_rpc_curve,
+)
 from repro.core.order import RankingOrder
-from repro.core.projection import ProjectionMethod, project_points
+from repro.core.projection import (
+    _VALID_METHODS,
+    ProjectionMethod,
+    project_points,
+)
 from repro.core.scoring import RankingList, build_ranking_list
 from repro.data.normalize import MinMaxNormalizer
 from repro.geometry.bezier import BezierCurve
@@ -57,8 +67,9 @@ class RankingPrincipalCurve:
         Bezier degree ``k`` (the paper fixes 3; 2 and 4 are exposed for
         the under/overfitting ablation).
     projection:
-        1-D solver for the projection step: ``"gss"`` (paper default),
-        ``"roots"`` or ``"newton"``.
+        1-D solver for the projection step: ``"newton"`` (default),
+        ``"gss"`` (the paper's Golden Section Search; a model keeps
+        the solver it was saved with) or ``"roots"``.
     update:
         Control-point update: ``"richardson"`` (Eq.(27), default) or
         ``"pinv"`` (Eq.(26) ablation).
@@ -110,7 +121,7 @@ class RankingPrincipalCurve:
         self,
         alpha: Sequence[float],
         degree: int = 3,
-        projection: ProjectionMethod = "gss",
+        projection: ProjectionMethod = "newton",
         update: Literal["richardson", "pinv"] = "richardson",
         precondition: bool = True,
         xi: float = 1e-6,
@@ -127,6 +138,17 @@ class RankingPrincipalCurve:
         if degree < 1:
             raise ConfigurationError(f"degree must be >= 1, got {degree}")
         self.degree = int(degree)
+        # Checked here rather than at first use, so a bad value in a
+        # saved model fails at load instead of on every later score.
+        for name, value, valid in (
+            ("projection", projection, _VALID_METHODS),
+            ("update", update, _VALID_UPDATES),
+            ("init", init, _VALID_INITS),
+        ):
+            if value not in valid:
+                raise ConfigurationError(
+                    f"unknown {name} {value!r}; valid: {valid}"
+                )
         self.projection = projection
         self.update = update
         self.precondition = bool(precondition)

@@ -5,10 +5,12 @@
   the Example 1/2 illustration points.
 * :mod:`repro.data.synthetic` — crescents, ellipses, S-curves and
   generic "noisy samples around a known monotone curve" clouds.
-* :mod:`repro.data.countries` — the 171-country life-quality table
-  (embedded Table 2 rows + calibrated synthesis; see DESIGN.md).
-* :mod:`repro.data.journals` — the 393-journal JCR2012-style table
-  (embedded Table 3 rows + calibrated synthesis).
+* :mod:`repro.data.countries` — the 171-country life-quality table.
+  Only 15 of the 171 rows are the paper's (Table 2); the other 156
+  are synthesized.
+* :mod:`repro.data.journals` — the 393-journal JCR2012-style table.
+  Only 10 of the 393 rows are the paper's (Table 3); the other 383
+  are synthesized.
 """
 
 from repro.data.countries import (

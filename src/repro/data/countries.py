@@ -9,15 +9,16 @@ The paper ranks 171 countries on four GAPMINDER indicators:
 
 with direction vector ``alpha = (+1, +1, -1, -1)``.
 
-**Substitution note** (see DESIGN.md): the exact 2014 GAPMINDER
-snapshot is not redistributable offline.  The fifteen country rows
-printed in Table 2 are embedded verbatim; the remaining countries are
-synthesised from a latent-development generative model calibrated to
-those rows (exponential GDP growth in the latent, saturating LEB,
-exponentially decaying IMR and TB, log-normal noise).  The synthetic
-cloud preserves what the experiment needs: a crescent-shaped, strictly
-orderable 4-attribute distribution on which a curved skeleton explains
-more variance than a straight one.
+**Substitution note:** only 15 of the 171 rows are the paper's; the
+other 156 are synthesized.  The exact 2014 GAPMINDER snapshot is not
+redistributable offline.  The fifteen country rows printed in Table 2
+are embedded verbatim; the remaining countries are synthesised from a
+latent-development generative model calibrated to those rows
+(exponential GDP growth in the latent, saturating LEB, exponentially
+decaying IMR and TB, log-normal noise).  The synthetic cloud preserves
+what the experiment needs: a crescent-shaped, strictly orderable
+4-attribute distribution on which a curved skeleton explains more
+variance than a straight one.
 """
 
 from __future__ import annotations

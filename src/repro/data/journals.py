@@ -11,8 +11,9 @@ missing data) on five JCR2012 citation indicators:
 
 with ``alpha = (1, 1, 1, 1, 1)``.
 
-**Substitution note** (see DESIGN.md): JCR2012 is proprietary Thomson
-Reuters data.  The ten journal rows printed in Table 3 are embedded
+**Substitution note:** only 10 of the 393 rows are the paper's; the
+other 383 are synthesized.  JCR2012 is proprietary Thomson Reuters
+data.  The ten journal rows printed in Table 3 are embedded
 verbatim; the rest are synthesised from a latent-quality model with
 heavy-tailed IF marginals, a near-linear IF↔5IF link, and an
 Eigenfactor column only weakly coupled to the others — matching the

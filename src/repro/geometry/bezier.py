@@ -210,72 +210,42 @@ class BezierCurve:
     def project(
         self,
         X: np.ndarray,
-        method: str = "gss",
+        method: str = "newton",
         n_grid: int = 32,
         tol: float = 1e-10,
     ) -> np.ndarray:
         """Projection indices ``s_f(x)`` of Eq.(A-2) for each row of ``X``.
+
+        The cold path of :func:`repro.core.projection.project_points`,
+        bit for bit: both compile the rows with the projection engine
+        and call :meth:`CompiledProjection.project
+        <repro.geometry.engine.CompiledProjection.project>`.
 
         Parameters
         ----------
         X:
             Data of shape ``(n, d)``.
         method:
-            ``"gss"`` — coarse grid scan plus batched Golden Section
-            Search (the paper's choice); ``"roots"`` — exact
-            minimisation of the squared-distance polynomial via its
-            stationary points (companion-matrix root finding).  Both
-            run on polynomials compiled once per call by the
-            projection engine (:mod:`repro.geometry.engine`) rather
-            than on repeated curve evaluations.
+            ``"newton"`` (default) — grid scan plus safeguarded Newton
+            on the stationary condition; ``"gss"`` — grid scan plus
+            batched Golden Section Search (the paper's solver);
+            ``"roots"`` — exact minimisation of the squared-distance
+            polynomial via its stationary points.
         n_grid:
-            Grid resolution of the bracketing scan for ``"gss"``.
+            Grid resolution of the bracketing scan (``"newton"`` and
+            ``"gss"``).
         tol:
-            Bracket tolerance for GSS.  The returned scores are
+            Step tolerance of the 1-D solve.  GSS scores are
             additionally Newton-polished onto their basin's stationary
-            point, so the effective accuracy is ~1e-14 regardless of
-            how coarse ``tol`` is.
+            point, so both grid methods reach ~1e-14.
 
         Returns
         -------
         Array of shape ``(n,)`` with values in ``[0, 1]``.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dimension:
-            raise ConfigurationError(
-                f"X must have shape (n, {self.dimension}), got {X.shape}"
-            )
-        if method == "gss":
-            return self._project_gss(X, n_grid=n_grid, tol=tol)
-        if method == "roots":
-            return self._project_roots(X)
-        raise ConfigurationError(
-            f"unknown projection method {method!r}; use 'gss' or 'roots'"
+        return ProjectionEngine(self).compile(X).project(
+            method, n_grid=n_grid, tol=tol
         )
-
-    def _project_gss(self, X: np.ndarray, n_grid: int, tol: float) -> np.ndarray:
-        # Compile the per-point squared-distance polynomials once, then
-        # run the grid scan and every GSS iteration as batched Horner
-        # evaluations — no per-iteration Bernstein rebuild or
-        # control-point matmul (see :mod:`repro.geometry.engine`).
-        # GSS only locates the basin (its value comparisons bottom out
-        # at the ~eps*|coeffs| evaluation noise of the compiled
-        # distance, i.e. ~1e-8 in s); the Newton polish on the
-        # derivative polynomial then recovers the stationary point to
-        # ~1e-15, which matters for points lying on the curve itself.
-        compiled = ProjectionEngine(self).compile(X)
-        _, lo, hi = compiled.bracket(n_grid)
-        coarse_tol = max(tol, 1e-4)
-        s = compiled.solve_gss(lo, hi, tol=coarse_tol)
-        return compiled.polish(s, half_width=2.0 * coarse_tol)
-
-    def _project_roots(self, X: np.ndarray) -> np.ndarray:
-        # Squared distance ‖x - C z‖² is a polynomial of degree 2k in s;
-        # minimise it exactly via stationary-point enumeration.  The
-        # coefficient rows for all n points are assembled at once and the
-        # stationary quintics solved with a single stacked
-        # companion-matrix eigenvalue call (no Python-level point loop).
-        return ProjectionEngine(self).compile(X).minimize_exact()
 
     def distance_polynomials(self, X: np.ndarray) -> np.ndarray:
         """Ascending coefficients of ``s -> ‖x_i − f(s)‖²`` for each row.

@@ -25,7 +25,8 @@ Two-level structure:
   batch of points costs one ``X @ C`` matmul plus a row-sum.
 * :meth:`ProjectionEngine.compile` binds a data batch, producing a
   :class:`CompiledProjection` that owns the ``(n, 2k + 1)`` coefficient
-  matrix, its first two derivative ladders, and every solver primitive.
+  matrix, its first two derivative ladders, every solver primitive and
+  the one cold-projection dispatch, :meth:`CompiledProjection.project`.
 
 A :class:`ProjectionEngine` is immutable after construction and a
 :class:`CompiledProjection` after compilation, so the daemon's handler
@@ -246,6 +247,31 @@ class CompiledProjection:
     # ------------------------------------------------------------------
     # Solvers
     # ------------------------------------------------------------------
+    def project(self, method: str, n_grid: int, tol: float) -> np.ndarray:
+        """Cold projection of every row: the one solver dispatch.
+
+        ``"newton"`` runs safeguarded Newton on Eq.(20) from the best
+        grid point of an ``n_grid`` scan, clamped to that point's
+        bracket.  ``"gss"`` runs GSS in the same bracket; GSS only
+        needs to land inside the right basin, so it runs at a coarse
+        tolerance and the Newton polish recovers the last digits.
+        ``"roots"`` is the exact, gridless :meth:`minimize_exact`.
+        """
+        if method == "roots":
+            return self.minimize_exact()
+        if method == "newton":
+            s, lo, hi = self.bracket(n_grid)
+            return self.newton_refine(s, lo, hi, tol=tol)
+        if method == "gss":
+            _, lo, hi = self.bracket(n_grid)
+            coarse_tol = max(tol, 1e-4)
+            s = self.solve_gss(lo, hi, tol=coarse_tol)
+            return self.polish(s, half_width=2.0 * coarse_tol)
+        raise ConfigurationError(
+            f"unknown projection method {method!r}; "
+            "valid: 'gss', 'roots', 'newton'"
+        )
+
     def bracket(
         self, n_grid: int, lo: float = 0.0, hi: float = 1.0
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

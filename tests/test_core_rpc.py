@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.exceptions import (
 from repro.core.rpc import RankingPrincipalCurve
 from repro.data.synthetic import sample_monotone_cloud
 from repro.evaluation.metrics import spearman_rho
+from repro.serving import loads_model
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,25 @@ class TestConfiguration:
     def test_bad_restarts_raises(self):
         with pytest.raises(ConfigurationError):
             RankingPrincipalCurve(alpha=[1, 1], n_restarts=0)
+
+    @pytest.mark.parametrize("name", ["projection", "update", "init"])
+    def test_bad_solver_option_raises(self, name):
+        # n_restarts=1 forces the only restart to "linear", so a bad
+        # init is never read by the fit and must fail here.
+        with pytest.raises(ConfigurationError, match=name):
+            RankingPrincipalCurve(alpha=[1, 1], n_restarts=1, **{name: "bogus"})
+
+    @pytest.mark.parametrize("name", ["projection", "update", "init"])
+    def test_bad_solver_option_in_saved_model_fails_at_load(
+        self, name, fitted_model_and_cloud
+    ):
+        model, _ = fitted_model_and_cloud
+        payload = model.to_dict()
+        payload["hyperparameters"][name] = "bogus"
+        with pytest.raises(ConfigurationError, match=name):
+            RankingPrincipalCurve.from_dict(payload)
+        with pytest.raises(ConfigurationError, match=name):
+            loads_model(json.dumps(payload))
 
     def test_capability_declarations(self):
         model = RankingPrincipalCurve(alpha=[1, 1, -1, -1])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.core.projection import project_points
 from repro.geometry import BezierCurve
 
 
@@ -213,6 +214,20 @@ class TestProjection:
     def test_wrong_dimension_raises(self, curve2d):
         with pytest.raises(ConfigurationError):
             curve2d.project(np.ones((5, 3)))
+
+    @pytest.mark.parametrize("method", ["gss", "newton", "roots"])
+    def test_matches_project_points_bit_for_bit(self, curve2d, rng, method):
+        X = rng.uniform(-0.2, 1.2, size=(50, 2))
+        np.testing.assert_array_equal(
+            curve2d.project(X, method=method),
+            project_points(curve2d, X, method=method),
+        )
+
+    def test_default_method_is_newton(self, curve2d, rng):
+        X = rng.uniform(-0.2, 1.2, size=(50, 2))
+        np.testing.assert_array_equal(
+            curve2d.project(X), curve2d.project(X, method="newton")
+        )
 
     def test_unknown_method_raises(self, curve2d):
         with pytest.raises(ConfigurationError):

@@ -75,6 +75,15 @@ def test_score_batch_bits(backend):
     _assert_bits(scores, GOLDEN["countries_score_batch"][backend], backend)
 
 
+def test_fixture_model_keeps_its_saved_solver():
+    """The stored model was fitted with GSS, and loading keeps it.
+
+    Models saved before Newton became the default all carry
+    ``"projection": "gss"``; their served scores must not move.
+    """
+    assert loads_model(GOLDEN["countries_model"]).projection == "gss"
+
+
 def test_fixture_covers_every_combination():
     keys = set(GOLDEN["projections"])
     assert keys == {

@@ -8,8 +8,9 @@ its correctness oracle is three-fold:
 * the Horner kernels against :func:`numpy.polynomial.polynomial.polyval`;
 * the compiled coefficients against a naive double-loop expansion and
   against direct ``‖x − f(s)‖²`` evaluation;
-* the engine-GSS scores against the frozen pre-engine GSS path
-  (:func:`project_points_legacy_gss`) and the exact ``"roots"`` solver,
+* the default Newton scores against GSS (the paper's solver) and the
+  exact ``"roots"`` solver (stacked-eigvals
+  :func:`~repro.linalg.polyroots.batched_minimize_on_interval`),
   property-style over random curves of degree 3–7.
 
 Agreement contract: per point the scores match to 1e-8 (in practice
@@ -25,10 +26,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval as np_polyval
 
 from repro.core.exceptions import ConfigurationError
-from repro.core.projection import (
-    project_points,
-    project_points_legacy_gss,
-)
+from repro.core.projection import project_points
 from repro.geometry.bezier import BezierCurve
 from repro.geometry.engine import (
     CompiledProjection,
@@ -167,29 +165,28 @@ class TestCompiledCoefficients:
 #: is matched to RPC-plausible monotone cubics; the distance function
 #: of a *random* degree-7 curve can hide basins narrower than 1/31, and
 #: a missed basin is a grid-resolution property shared by every
-#: grid-bracketed solver, not an engine/legacy discrepancy.  129 points
+#: grid-bracketed solver, not a Newton/GSS discrepancy.  129 points
 #: isolate every basin arising in this sweep so the test compares the
 #: solvers, not the grid.
 N_GRID = 129
 
 
 def _assert_three_way_agreement(curve, X, context):
-    s_engine = project_points(curve, X, method="gss", n_grid=N_GRID)
-    s_legacy = project_points_legacy_gss(curve, X, n_grid=N_GRID)
-    s_roots = project_points(curve, X, method="roots")
-    compiled = ProjectionEngine(curve).compile(X)
-    d = {
-        "engine": compiled.distance(s_engine),
-        "legacy": compiled.distance(s_legacy),
-        "roots": compiled.distance(s_roots),
+    scores = {
+        "newton": project_points(curve, X, method="newton", n_grid=N_GRID),
+        "gss": project_points(curve, X, method="gss", n_grid=N_GRID),
+        "roots": project_points(curve, X, method="roots", backend="numpy"),
     }
-    for name, other in (("legacy", s_legacy), ("roots", s_roots)):
-        assert np.all((other >= 0.0) & (other <= 1.0)), context
-        s_gap = np.abs(s_engine - other)
-        d_gap = np.abs(d["engine"] - d[name])
+    compiled = ProjectionEngine(curve).compile(X)
+    d = {name: compiled.distance(s) for name, s in scores.items()}
+    for s in scores.values():
+        assert np.all((s >= 0.0) & (s <= 1.0)), context
+    for a, b in (("newton", "gss"), ("newton", "roots"), ("gss", "roots")):
+        s_gap = np.abs(scores[a] - scores[b])
+        d_gap = np.abs(d[a] - d[b])
         disagrees = (s_gap > S_ATOL) & (d_gap > DIST_ATOL)
         assert not np.any(disagrees), (
-            f"{context}: engine vs {name} disagree on "
+            f"{context}: {a} vs {b} disagree on "
             f"{int(disagrees.sum())} points; worst s-gap "
             f"{s_gap[disagrees].max():.3e}, worst distance-gap "
             f"{d_gap[disagrees].max():.3e}"
@@ -200,6 +197,7 @@ class TestSolverAgreementAcrossDegrees:
     @pytest.mark.parametrize("degree", DEGREES)
     @pytest.mark.parametrize("seed", range(SEEDS_PER_DEGREE))
     def test_engine_vs_legacy_vs_roots(self, degree, seed):
+        """Newton (default) vs GSS (paper) vs exact eigvals roots."""
         curve, X = _random_curve_and_points(degree, seed)
         _assert_three_way_agreement(
             curve, X, context=f"degree {degree} seed {seed}"
