@@ -1,7 +1,7 @@
 """Observability overhead on the serving hot path.
 
 PR 7 threads tracing hooks through every request: a ``Trace`` (or the
-shared no-op ``NULL_TRACE``), seven span context managers, an
+shared no-op ``NULL_TRACE``), nine span context managers, an
 ``EngineProfile`` activation around the solver, and per-endpoint
 histogram cells in ``ServerMetrics.observe``.  The contract is that a
 daemon started *without* ``--trace``/``--access-log`` pays (nearly)
@@ -112,11 +112,11 @@ def _per_request_obs_cost_us() -> dict:
         return best / iters * 1e6
 
     def null_spans():
-        # The seven request-path spans a traced request would get, as
+        # The nine request-path spans a traced request would get, as
         # their tracing-off no-ops.
         for name in (
-            "admission", "parse", "registry", "validate",
-            "queue", "execute", "serialize",
+            "admission", "parse", "registry", "validate", "queue",
+            "execute", "engine_metrics", "metrics", "serialize",
         ):
             with NULL_TRACE.span(name):
                 pass
@@ -137,7 +137,7 @@ def _per_request_obs_cost_us() -> dict:
         )
 
     return {
-        "no-op spans (x7)": timed(null_spans),
+        "no-op spans (x9)": timed(null_spans),
         "engine profile lifecycle": timed(engine_profile_lifecycle),
         "metrics observe (histogram cells)": timed(observe_with_histogram),
     }

@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-policy",
-        choices=("adaptive", "fixed"),
         default="adaptive",
+        metavar="{adaptive,fixed}",
         dest="batch_policy",
         help="micro-batch window policy: 'adaptive' (default) scales "
         "the coalescing window with queue depth, 'fixed' always waits "
@@ -754,6 +754,7 @@ def parse_model_specs(specs: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
+    from repro.obs import AccessLog, Tracer
     from repro.server import (
         ModelRegistry,
         ScoringHTTPServer,
@@ -767,121 +768,79 @@ def _run_serve(args: argparse.Namespace) -> int:
         DEFAULT_RETRY_AFTER,
     )
 
-    if args.workers < 1:
-        raise ConfigurationError(
-            f"--workers must be >= 1, got {args.workers}"
-        )
-    if args.batch_window_ms < 0:
-        raise ConfigurationError(
-            f"--batch-window-ms must be >= 0, got {args.batch_window_ms}"
-        )
     if args.tuning_file is not None:
         # Fail the boot on an unreadable or invalid tuning file rather
         # than discovering it at the first SIGHUP under load.
         load_tuning_file(args.tuning_file)
-    max_inflight = (
-        DEFAULT_MAX_INFLIGHT
-        if args.max_inflight is None
-        else args.max_inflight
-    )
-    retry_after = (
-        DEFAULT_RETRY_AFTER
-        if args.retry_after is None
-        else args.retry_after
-    )
     specs = parse_model_specs(args.models)
-    # Load every model once up front, whatever the worker count: a
-    # missing or corrupt model file must fail the boot, not surface as
-    # a crash-looping worker fleet minutes later.
+    # Load every model once, in this process: a missing or corrupt
+    # model file fails the boot, and pool workers inherit the models.
     registry = ModelRegistry(check_mtime=not args.no_reload)
     for name, path in specs:
         entry = registry.register(name, path)
         state = "fitted" if entry.model.is_fitted else "NOT FITTED"
         print(f"registered {name!r} from {path} ({state})")
-
-    batch_window = args.batch_window_ms / 1e3
-
-    if args.workers > 1:
-        pool = WorkerPool(
-            specs,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            batch_window=batch_window,
-            max_batch_rows=args.max_batch_rows,
-            batch_policy=args.batch_policy,
-            max_inflight=max_inflight,
-            max_inflight_per_model=args.max_inflight_per_model,
-            retry_after=retry_after,
-            keepalive_timeout=args.keepalive_timeout,
-            tuning_file=args.tuning_file,
-            backend=args.backend,
-            check_mtime=not args.no_reload,
-            trace_mode=args.trace,
-            trace_sample=args.trace_sample,
-            trace_buffer=args.trace_buffer,
-            access_log=args.access_log,
-        )
-        host, port = pool.bind()
-        print(
-            f"serving {len(registry)} model(s) on http://{host}:{port} "
-            f"with {args.workers} worker processes"
-        )
-        print("endpoints: /healthz /metrics /v1/models "
-              "/v1/models/<name>/score /v1/models/<name>/rank")
-        print("ops guide: docs/ops.md", flush=True)
-        code = pool.serve()
-        print("pool shut down")
-        return code
-
-    tracer = None
-    if args.trace != "off" or args.access_log is not None:
-        from repro.obs import AccessLog, Tracer
-
-        if args.trace_sample < 1:
-            raise ConfigurationError(
-                f"--trace-sample must be >= 1, got {args.trace_sample}"
-            )
-        if args.trace_buffer < 1:
-            raise ConfigurationError(
-                f"--trace-buffer must be >= 1, got {args.trace_buffer}"
-            )
-        tracer = Tracer(
-            mode=args.trace,
-            sample_every=args.trace_sample,
-            capacity=args.trace_buffer,
-            access_log=(
-                AccessLog(args.access_log)
-                if args.access_log is not None
-                else None
-            ),
-        )
-
+    # Built whatever the mode, so a bad --trace-sample or
+    # --trace-buffer fails the boot; a tracer with nothing to do is
+    # then dropped, leaving the untraced request path untouched.
+    tracer = Tracer(
+        mode=args.trace,
+        sample_every=args.trace_sample,
+        capacity=args.trace_buffer,
+        access_log=(
+            AccessLog(args.access_log)
+            if args.access_log is not None
+            else None
+        ),
+    )
+    if tracer.mode == "off" and tracer.access_log is None:
+        tracer = None
+    # The one daemon: its constructor checks every serving knob before
+    # it binds, and --workers N forks it as it is.
     server = ScoringHTTPServer(
         (args.host, args.port),
         registry,
         chunk_size=args.chunk_size,
-        batch_window=batch_window,
+        batch_window=args.batch_window_ms / 1e3,
         max_batch_rows=args.max_batch_rows,
         batch_policy=args.batch_policy,
-        max_inflight=max_inflight,
+        max_inflight=(
+            DEFAULT_MAX_INFLIGHT
+            if args.max_inflight is None
+            else args.max_inflight
+        ),
         max_inflight_per_model=args.max_inflight_per_model,
-        retry_after=retry_after,
+        retry_after=(
+            DEFAULT_RETRY_AFTER
+            if args.retry_after is None
+            else args.retry_after
+        ),
         keepalive_timeout=args.keepalive_timeout,
         backend=args.backend,
         tracer=tracer,
     )
+    pool, fleet = None, ""
+    if args.workers != 1:
+        try:
+            pool = WorkerPool(server, args.workers, args.tuning_file)
+        except ConfigurationError:
+            server.server_close()
+            raise
+        fleet = f" with {args.workers} worker processes"
     host, port = server.server_address[:2]
-    print(f"serving {len(registry)} model(s) on http://{host}:{port}")
+    print(
+        f"serving {len(registry)} model(s) on http://{host}:{port}{fleet}"
+    )
     print("endpoints: /healthz /metrics /v1/models "
           "/v1/models/<name>/score /v1/models/<name>/rank")
     print("ops guide: docs/ops.md", flush=True)
+    if pool is not None:
+        code = pool.serve()
+        print("pool shut down")
+        return code
     # SIGTERM (systemd, docker stop, the pool's own drill) and SIGINT
     # both drain gracefully: stop accepting, finish in-flight
     # requests, close the socket, exit 0.
-    server.daemon_threads = False
-    server.block_on_close = True
     install_graceful_shutdown(server)
     install_tuning_reload(server, args.tuning_file)
     try:

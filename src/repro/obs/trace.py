@@ -47,6 +47,8 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
+from repro.core.exceptions import ConfigurationError
+
 #: Trace ids are used as spill file names; accept exactly the token
 #: shape the daemon's ``X-Request-Id`` contract guarantees (no path
 #: separators, bounded length) and refuse anything else on lookup.
@@ -66,7 +68,7 @@ DEFAULT_SAMPLE_EVERY = 64
 _SPILL_SLACK = 2
 
 
-class TraceError(ValueError):
+class TraceError(ConfigurationError):
     """Invalid tracer configuration (mode, sample rate, capacity)."""
 
 
@@ -283,10 +285,10 @@ class Tracer:
             )
         if int(sample_every) < 1:
             raise TraceError(
-                f"sample_every must be >= 1, got {sample_every}"
+                f"trace sample_every must be >= 1, got {sample_every}"
             )
         if int(capacity) < 1:
-            raise TraceError(f"capacity must be >= 1, got {capacity}")
+            raise TraceError(f"trace capacity must be >= 1, got {capacity}")
         self.mode = mode
         self.sample_every = int(sample_every)
         self.capacity = int(capacity)

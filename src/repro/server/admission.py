@@ -40,6 +40,7 @@ from collections import Counter
 from typing import Optional
 
 from repro.core.exceptions import ConfigurationError
+from repro.server.batching import check_batch_knobs
 
 #: Default bound on concurrently admitted scoring requests per worker.
 #: Generous for interactive traffic (each admitted request holds a
@@ -241,23 +242,23 @@ def validate_tuning(tuning: dict) -> dict:
             f"unknown tuning keys {unknown}; supported: "
             f"{', '.join(TUNING_KEYS)}"
         )
-    if "batch_window_ms" in tuning and float(tuning["batch_window_ms"]) < 0:
-        raise ConfigurationError(
-            f"batch_window_ms must be >= 0, "
-            f"got {tuning['batch_window_ms']}"
+
+    def _check_batch_key(key: str, **knob) -> None:
+        # The batcher's own check judges the value; the prefix names
+        # the tuning key it came from.
+        try:
+            check_batch_knobs(**knob)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{key}: {exc}") from None
+
+    if "batch_window_ms" in tuning:
+        _check_batch_key(
+            "batch_window_ms", window=float(tuning["batch_window_ms"]) / 1e3
         )
-    if "max_batch_rows" in tuning and int(tuning["max_batch_rows"]) < 1:
-        raise ConfigurationError(
-            f"max_batch_rows must be >= 1, got {tuning['max_batch_rows']}"
-        )
-    if "batch_policy" in tuning and tuning["batch_policy"] not in (
-        "adaptive",
-        "fixed",
-    ):
-        raise ConfigurationError(
-            f"batch_policy must be 'adaptive' or 'fixed', "
-            f"got {tuning['batch_policy']!r}"
-        )
+    if "max_batch_rows" in tuning:
+        _check_batch_key("max_batch_rows", max_rows=tuning["max_batch_rows"])
+    if "batch_policy" in tuning:
+        _check_batch_key("batch_policy", policy=tuning["batch_policy"])
     _validate_admission_knobs(
         tuning.get("max_inflight", 0),
         tuning.get("max_inflight_per_model", 0),

@@ -85,6 +85,30 @@ DEFAULT_MAX_BATCH_ROWS = 1024
 WINDOW_POLICIES = ("adaptive", "fixed")
 
 
+def check_batch_knobs(
+    window: Optional[float] = None,
+    max_rows: Optional[int] = None,
+    policy: Optional[str] = None,
+) -> None:
+    """The one check of the batching knobs (``None`` skips a knob).
+
+    Used by :class:`MicroBatcher` at construction and retune, and by
+    the tuning-file validator, so a value is judged the same way at
+    boot and on ``SIGHUP``.
+    """
+    if window is not None and float(window) < 0:
+        raise ConfigurationError(
+            f"batch window must be >= 0 seconds, got {window}"
+        )
+    if max_rows is not None and int(max_rows) < 1:
+        raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
+    if policy is not None and policy not in WINDOW_POLICIES:
+        raise ConfigurationError(
+            f"batch policy must be one of {WINDOW_POLICIES}, "
+            f"got {policy!r}"
+        )
+
+
 class BatchAbortedError(RuntimeError):
     """The batch leader died before scattering results.
 
@@ -235,21 +259,9 @@ class MicroBatcher:
         on_flush: Optional[Callable[[int, int], None]] = None,
         on_execute: Optional[Callable[[EngineProfile], None]] = None,
     ):
+        check_batch_knobs(window, max_rows, policy)
         window = float(window)
         max_rows = int(max_rows)
-        if window < 0:
-            raise ConfigurationError(
-                f"batch window must be >= 0 seconds, got {window}"
-            )
-        if max_rows < 1:
-            raise ConfigurationError(
-                f"max_rows must be >= 1, got {max_rows}"
-            )
-        if policy not in WINDOW_POLICIES:
-            raise ConfigurationError(
-                f"batch policy must be one of {WINDOW_POLICIES}, "
-                f"got {policy!r}"
-            )
         self._score_fn = score_fn
         self.window = window
         self.max_rows = max_rows
@@ -383,19 +395,7 @@ class MicroBatcher:
         every batch formed after this call uses the new ones.  Returns
         the applied knobs.
         """
-        if window is not None and float(window) < 0:
-            raise ConfigurationError(
-                f"batch window must be >= 0 seconds, got {window}"
-            )
-        if max_rows is not None and int(max_rows) < 1:
-            raise ConfigurationError(
-                f"max_rows must be >= 1, got {max_rows}"
-            )
-        if policy is not None and policy not in WINDOW_POLICIES:
-            raise ConfigurationError(
-                f"batch policy must be one of {WINDOW_POLICIES}, "
-                f"got {policy!r}"
-            )
+        check_batch_knobs(window, max_rows, policy)
         with self._lock:
             if window is not None:
                 self.window = float(window)
@@ -433,12 +433,14 @@ class MicroBatcher:
             with engineprof.activate(profile):
                 return self._score_fn(model, X)
         finally:
+            t_done = time.perf_counter()
             if trace.enabled:
-                trace.add_span("execute", t_exec, time.perf_counter())
-                if profile is not None:
-                    trace.set_engine(profile.snapshot())
+                trace.add_span("execute", t_exec, t_done)
+                trace.set_engine(profile.snapshot())
             if self._on_execute is not None:
                 self._on_execute(profile)
+            if trace.enabled:
+                trace.add_span("engine_metrics", t_done, time.perf_counter())
 
     def _lead(self, key, batch: _Batch, model) -> None:
         """Wait out the window, close the batch, execute, scatter."""
@@ -480,12 +482,15 @@ class MicroBatcher:
                 with engineprof.activate(profile):
                     self._execute(model, members)
         finally:
+            t_done = time.perf_counter()
+            engine = profile.snapshot() if tracing else None
+            if self._on_execute is not None:
+                self._on_execute(profile)
             if tracing:
-                # Followers sleep through the queue + execute interval,
-                # so the leader stamps those spans into every member's
-                # trace before waking them.
-                t_done = time.perf_counter()
-                engine = profile.snapshot() if profile is not None else None
+                # Followers sleep through the queue, execute and
+                # engine-telemetry interval, so the leader stamps those
+                # spans into every member's trace before waking them.
+                t_recorded = time.perf_counter()
                 batch_meta = {
                     "id": f"{os.getpid()}-{batch_seq}",
                     "requests": len(members),
@@ -496,11 +501,11 @@ class MicroBatcher:
                         continue
                     member.trace.add_span("queue", member.t_submit, t_exec)
                     member.trace.add_span("execute", t_exec, t_done)
+                    member.trace.add_span(
+                        "engine_metrics", t_done, t_recorded
+                    )
                     member.trace.set("batch", batch_meta)
-                    if engine is not None:
-                        member.trace.set_engine(engine)
-            if self._on_execute is not None:
-                self._on_execute(profile)
+                    member.trace.set_engine(engine)
             batch.done.set()
 
     def _execute(self, model, members: List[_Request]) -> None:

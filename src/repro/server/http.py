@@ -42,7 +42,8 @@ Endpoints
 Error contract: malformed JSON or a body of the wrong shape is ``400``;
 an unregistered model name is ``404``; structurally valid input the
 model rejects (wrong attribute count, NaN) is ``422``; a registered but
-unfitted model is ``409``; a body that stalls past the keep-alive
+unfitted model is ``409``; any method but GET and POST is ``405`` with
+an ``Allow: GET, POST`` header; a body that stalls past the keep-alive
 timeout is ``408`` (and closes the connection); a scoring request shed
 by admission control (:mod:`repro.server.admission`) is ``429`` with a
 ``Retry-After`` header (and closes the connection without reading the
@@ -187,8 +188,9 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         :mod:`repro.serving.batch` default).
     metrics:
         Optional :class:`ServerMetrics`; a fresh one (over a one-slot
-        in-memory store) otherwise.  :mod:`repro.server.pool` workers
-        pass one writing their slot of the fleet's shared store.
+        in-memory store) otherwise.  A :mod:`repro.server.pool` worker
+        replaces it after the fork with one writing its slot of the
+        fleet's shared store.
     batch_window:
         Cap in seconds on how long a small scoring request may wait to
         be coalesced with concurrent ones into a single engine call
@@ -201,15 +203,13 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         ``"adaptive"`` (default) lets the effective window float
         between zero (idle) and ``batch_window`` (saturated) with
         queue pressure; ``"fixed"`` always waits the full window.
+        The batcher checks all three knobs even when ``batch_window``
+        is ``0``, so a bad value fails construction either way.
     max_inflight / max_inflight_per_model / retry_after:
         Admission control (:mod:`repro.server.admission`): scoring
         requests beyond ``max_inflight`` (or a model's quota) are shed
         with ``429`` and a ``Retry-After: <retry_after>`` header
         instead of queueing unboundedly.  ``0`` disables a bound.
-    listen_socket:
-        An already-listening socket to serve on *instead of* binding
-        ``address`` — how :mod:`repro.server.pool` workers share one
-        socket inherited from the pre-fork parent.
     keepalive_timeout:
         Seconds an idle keep-alive connection may sit between requests
         before its handler thread closes it; also bounds how long a
@@ -245,7 +245,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_inflight_per_model: int = 0,
         retry_after: float = DEFAULT_RETRY_AFTER,
-        listen_socket: Optional[socket.socket] = None,
         keepalive_timeout: float = 30.0,
         listen_backlog: int = 128,
         backend=None,
@@ -270,69 +269,41 @@ class ScoringHTTPServer(ThreadingHTTPServer):
             max_inflight_per_model=max_inflight_per_model,
             retry_after=retry_after,
         )
-        self.batcher: Optional[MicroBatcher] = None
-        if batch_window and batch_window > 0.0:
-            self.batcher = self._make_batcher(
-                float(batch_window), max_batch_rows, batch_policy
-            )
-        elif batch_policy not in ("adaptive", "fixed"):
-            raise ConfigurationError(
-                f"batch policy must be 'adaptive' or 'fixed', "
-                f"got {batch_policy!r}"
-            )
-        self.batch_policy = batch_policy
+        # Every request scores through the batcher, which scores
+        # synchronously while its window is 0.  ``batcher`` publishes it
+        # (``/metrics``, retuning) only once batching is on.
+        self._batcher = MicroBatcher(
+            lambda model, X: score_batch(
+                model, X, chunk_size=self.chunk_size, backend=self.backend
+            ),
+            window=batch_window,
+            policy=batch_policy,
+            on_flush=self._record_batch_flush,
+            on_execute=self._record_engine_profile,
+            **(
+                {"max_rows": max_batch_rows}
+                if max_batch_rows is not None
+                else {}
+            ),
+        )
+        self.batcher: Optional[MicroBatcher] = (
+            self._batcher if self._batcher.window > 0 else None
+        )
         self.request_queue_size = int(listen_backlog)
-        if listen_socket is None:
-            super().__init__(address, ScoringRequestHandler)
-        else:
-            # Pre-fork worker mode: adopt the parent's listening socket
-            # instead of binding a fresh one.  ``server_bind`` /
-            # ``server_activate`` are skipped; replicate the bits of
-            # ``HTTPServer.server_bind`` the handler relies on.
-            super().__init__(
-                listen_socket.getsockname()[:2],
-                ScoringRequestHandler,
-                bind_and_activate=False,
-            )
-            self.socket.close()
-            self.socket = listen_socket
-            self.server_address = listen_socket.getsockname()
-            host, port = self.server_address[:2]
-            self.server_name = host
-            self.server_port = port
+        super().__init__(address, ScoringRequestHandler)
         self.registry = registry
         self.chunk_size = chunk_size
         self.metrics = metrics if metrics is not None else ServerMetrics()
-        #: The pool worker's slot number; ``None`` in a single-process
-        #: daemon.  Gates the pool-only ``workers`` and
-        #: ``micro_batcher_fleet`` fragments of ``/metrics``.
+        #: The pool worker's slot number, stamped after the fork;
+        #: ``None`` in a single-process daemon.  Gates the pool-only
+        #: ``workers`` and ``micro_batcher_fleet`` fragments of
+        #: ``/metrics``.
         self.worker_slot: Optional[int] = None
         self.tracer = tracer
         self.keepalive_timeout = float(keepalive_timeout)
         self._draining = threading.Event()
         self._handlers_lock = threading.Lock()
         self._handlers: set = set()
-
-    def _make_batcher(
-        self,
-        window: float,
-        max_batch_rows: Optional[int],
-        policy: str,
-    ) -> MicroBatcher:
-        return MicroBatcher(
-            lambda model, X: score_batch(
-                model, X, chunk_size=self.chunk_size, backend=self.backend
-            ),
-            window=window,
-            policy=policy,
-            on_flush=self._record_batch_flush,
-            on_execute=self._record_engine_profile,
-            **(
-                {"max_rows": int(max_batch_rows)}
-                if max_batch_rows is not None
-                else {}
-            ),
-        )
 
     def _record_batch_flush(self, n_requests: int, n_rows: int) -> None:
         self.metrics.observe_batch(n_requests, n_rows)
@@ -355,31 +326,18 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         max_rows = tuning.get("max_batch_rows")
         policy = tuning.get("batch_policy")
         if window is not None or max_rows is not None or policy is not None:
-            if policy is not None:
-                self.batch_policy = policy
-            if self.batcher is not None:
-                applied.update(
-                    self.batcher.reconfigure(
-                        window=None if window is None else window / 1e3,
-                        max_rows=max_rows,
-                        policy=policy,
-                    )
+            applied.update(
+                self._batcher.reconfigure(
+                    window=None if window is None else window / 1e3,
+                    max_rows=max_rows,
+                    policy=policy,
                 )
-            elif window is not None and window > 0:
-                # Batching was off at boot; enable it live.  Handler
-                # threads check ``self.batcher`` per request, so the
-                # swap needs no synchronisation beyond the attribute
-                # store.
-                self.batcher = self._make_batcher(
-                    window / 1e3, max_rows, self.batch_policy
-                )
-                applied.update(
-                    {
-                        key: value
-                        for key, value in self.batcher.stats().items()
-                        if key in ("policy", "window_ms", "max_rows")
-                    }
-                )
+            )
+            if self._batcher.window > 0:
+                # Batching off at boot goes live here; the batcher
+                # already scores every request, so publishing it is
+                # all there is to do.
+                self.batcher = self._batcher
         admission_keys = {
             "max_inflight": tuning.get("max_inflight"),
             "max_inflight_per_model": tuning.get("max_inflight_per_model"),
@@ -442,26 +400,14 @@ class ScoringHTTPServer(ThreadingHTTPServer):
             self._handlers.discard(handler)
 
     def score(self, model, X: np.ndarray, trace=NULL_TRACE) -> np.ndarray:
-        """Score a request body, through the micro-batcher when on.
+        """Score a request body through the micro-batcher (synchronous
+        while its window is 0).
 
         ``trace`` (a recording :class:`~repro.obs.trace.Trace` or the
         no-op :data:`NULL_TRACE`) receives queue/execute spans and the
         engine-profile snapshot for this request.
         """
-        if self.batcher is not None:
-            return self.batcher.score(model, X, trace)
-        profile = EngineProfile()
-        t_exec = time.perf_counter()
-        try:
-            with engineprof.activate(profile):
-                return score_batch(
-                    model, X, chunk_size=self.chunk_size, backend=self.backend
-                )
-        finally:
-            if trace.enabled:
-                trace.add_span("execute", t_exec, time.perf_counter())
-                trace.set_engine(profile.snapshot())
-            self.metrics.observe_engine(profile)
+        return self._batcher.score(model, X, trace)
 
 
 class ScoringRequestHandler(BaseHTTPRequestHandler):
@@ -549,6 +495,29 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         name, action = match.group(1), match.group(2)
         endpoint = f"POST /v1/models/{{name}}/{action}"
         self._handle(endpoint, lambda: self._post_model(name, action))
+
+    def __getattr__(self, name: str):
+        # ``http.server`` dispatches a request to ``do_<METHOD>``; every
+        # method but GET and POST lands here instead of on its stock
+        # 501 page, so it is answered, traced and counted like any
+        # other request.
+        if name.startswith("do_"):
+            return self._do_unsupported
+        raise AttributeError(name)
+
+    def _do_unsupported(self) -> None:
+        self._between_requests = False  # in a request: drain must wait
+        self._request_id = self._resolve_request_id()
+        self._trace = self._begin_trace()
+        self._handle("other", self._method_not_allowed)
+
+    def _method_not_allowed(self) -> Tuple[int, dict, int]:
+        self._drain_body()
+        raise _RequestError(
+            405,
+            f"method {self.command} not allowed; use GET or POST",
+            headers={"Allow": "GET, POST"},
+        )
 
     def _begin_trace(self, record_ok: bool = True):
         """This request's trace — :data:`NULL_TRACE` unless a tracer is
@@ -975,13 +944,14 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
             status, payload = 500, {"error": f"internal error: {exc}"}
         # Record before responding: a client that sees the response and
         # immediately reads /metrics must find this request counted.
-        self.server.metrics.observe(
-            endpoint,
-            status,
-            time.perf_counter() - started,
-            rows=rows,
-            request_id=getattr(self, "_request_id", None),
-        )
+        with trace.span("metrics"):
+            self.server.metrics.observe(
+                endpoint,
+                status,
+                time.perf_counter() - started,
+                rows=rows,
+                request_id=getattr(self, "_request_id", None),
+            )
         # Serialize (timed), then seal the trace *before* writing the
         # response: a client that sees its response and immediately
         # fetches /v1/debug/trace/<id> must find the trace retained —
@@ -1034,12 +1004,6 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         if n_bytes and len(self._read_body_bytes(n_bytes)) != n_bytes:
             self.close_connection = True
 
-    def _send_json(
-        self, status: int, payload: dict, headers: Optional[dict] = None
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(status, body, "application/json", headers)
-
     def _send_body(
         self,
         status: int,
@@ -1060,8 +1024,14 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         for key, value in (headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # Headers and body leave in one write: sent apart, Nagle's
+        # algorithm holds the body until the client's delayed ACK of
+        # the headers, ~40 ms on every keep-alive response.  A HEAD
+        # response carries the headers only.
+        self._headers_buffer.append(b"\r\n")
+        if self.command != "HEAD":
+            self._headers_buffer.append(body)
+        self.flush_headers()
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence the default stderr access log; /metrics covers it."""

@@ -8,9 +8,11 @@ JSON bodies, the 4xx taxonomy, hot reload, and metrics accounting.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import threading
+import time
 import urllib.error
 import urllib.request
 import warnings
@@ -290,6 +292,41 @@ class TestErrorContract:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 405
         assert excinfo.value.headers["Allow"] == "POST"
+
+    @pytest.mark.parametrize(
+        "method", ["PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"]
+    )
+    def test_other_methods_are_405_and_counted(self, served, method):
+        base, *_ = served
+        before = _get(base + "/metrics")[1]
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request(method, "/v1/models/demo/score", body=b'{"row": [1]}')
+            response = conn.getresponse()
+            body = response.read()
+            assert response.status == 405
+            assert response.getheader("Allow") == "GET, POST"
+            assert response.getheader("X-Request-Id")
+            if method == "HEAD":
+                assert body == b""
+            else:
+                assert "GET or POST" in json.loads(body)["error"]
+            # The body was drained, so the connection stays usable.
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+        finally:
+            conn.close()
+        after = _get(base + "/metrics")[1]
+        assert after["errors_total"] - before["errors_total"] == 1
+
+        def count_405(metrics):
+            other = metrics["endpoints"].get("other", {})
+            return other.get("by_status", {}).get("405", 0)
+
+        assert count_405(after) - count_405(before) == 1
 
     def test_negative_content_length_is_400(self, served):
         # A raw socket is needed: urllib refuses to send a negative
@@ -743,6 +780,47 @@ class TestServerConstruction:
         registry = ModelRegistry()
         with pytest.raises(ConfigurationError, match="chunk_size"):
             ScoringHTTPServer(("127.0.0.1", 0), registry, chunk_size=0)
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"batch_window": -1.0},
+            {"max_batch_rows": 0},
+            {"batch_policy": "psychic"},
+        ],
+    )
+    def test_batch_knobs_are_checked_with_batching_off(self, knob):
+        # Regression: a bad batching knob used to boot a daemon with
+        # batching silently off instead of failing.
+        with pytest.raises(ConfigurationError):
+            ScoringHTTPServer(("127.0.0.1", 0), ModelRegistry(), **knob)
+
+
+class TestKeepAlive:
+    def test_keepalive_score_p50_under_10ms(self, served):
+        """One response is one write: headers and body sent apart let
+        Nagle's algorithm and the client's delayed ACK hold every
+        keep-alive response for ~40 ms."""
+        base, _, _, _, X = served
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        body = json.dumps({"row": X[0].tolist()}).encode()
+        latencies = []
+        try:
+            for _ in range(100):
+                started = time.perf_counter()
+                conn.request(
+                    "POST", "/v1/models/demo/score", body,
+                    {"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            conn.close()
+        p50_ms = float(np.median(latencies)) * 1e3
+        assert p50_ms < 10.0, p50_ms
 
 
 class TestModelRegistry:

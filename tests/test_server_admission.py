@@ -24,7 +24,6 @@ from repro.server import (
     ScoringHTTPServer,
     ServerMetrics,
     SharedMetricsStore,
-    WorkerPool,
     load_tuning_file,
     validate_tuning,
 )
@@ -232,7 +231,9 @@ class TestKeepaliveValidation:
     ``settimeout(0)`` puts the socket in non-blocking mode, so a zero
     timeout made every kept-alive connection die instantly with a
     spurious 408 — the opposite of the "no timeout" an operator meant.
-    Both front doors must reject it at construction.
+    The server rejects it at construction, in either process mode (the
+    pool forks a server that was already built; the CLI check for both
+    modes is in ``tests/test_server_load.py``).
     """
 
     def test_server_rejects_zero_and_negative(self):
@@ -243,11 +244,6 @@ class TestKeepaliveValidation:
                     ModelRegistry(),
                     keepalive_timeout=bad,
                 )
-
-    def test_pool_rejects_zero_and_negative(self):
-        for bad in (0, -2):
-            with pytest.raises(ConfigurationError, match="keepalive"):
-                WorkerPool([], workers=2, keepalive_timeout=bad)
 
     def test_large_timeout_still_accepted(self):
         server = ScoringHTTPServer(

@@ -403,21 +403,135 @@ class TestGracefulShutdown:
             thread.join(timeout=10)
 
 
-class TestWorkerPoolValidation:
-    def test_bad_knobs_fail_before_binding(self):
-        from repro.core.exceptions import ConfigurationError
-        from repro.server import WorkerPool
+class TestBootValidation:
+    """Both process modes reject the same bad values before serving."""
 
-        # Same fail-fast contract as the single-process boot: these
-        # must error at construction, not as a crash-looping fleet.
-        with pytest.raises(ConfigurationError, match="workers"):
-            WorkerPool([], workers=0)
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            WorkerPool([], workers=2, chunk_size=0)
-        with pytest.raises(ConfigurationError, match="window"):
-            WorkerPool([], workers=2, batch_window=-1.0)
-        with pytest.raises(ConfigurationError, match="max_rows"):
-            WorkerPool([], workers=2, max_batch_rows=0)
+    BAD_KNOBS = (
+        ("--chunk-size", "0"),
+        ("--batch-window-ms", "-1"),
+        ("--max-batch-rows", "0"),
+        ("--keepalive-timeout", "0"),
+        ("--trace-sample", "0"),
+        ("--trace-buffer", "0"),
+        ("--backend", "bogus"),
+    )
+
+    def test_bad_knobs_fail_before_serving_in_both_modes(
+        self, saved, capsys
+    ):
+        from repro.cli import main
+
+        _, _, path = saved
+        for workers in ("1", "2"):
+            for flag, value in self.BAD_KNOBS:
+                argv = [
+                    "serve", "--model", f"demo={path}", "--port", "0",
+                    "--workers", workers, flag, value,
+                ]
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects a choice
+                    code = exc.code
+                out, err = capsys.readouterr()
+                case = (workers, flag, value, out, err)
+                assert code == 2, case
+                assert "error:" in err, case
+                assert "serving" not in out, case
+
+
+def _child_pids(parent: int) -> set:
+    """Pids whose parent is ``parent``, read from ``/proc``."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # The command name is parenthesised and may hold spaces.
+        fields = stat.rpartition(")")[2].split()
+        if int(fields[1]) == parent:
+            children.add(int(entry))
+    return children
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads worker pids from /proc"
+)
+class TestWorkerRespawn:
+    """SIGKILL a pool worker: the parent forks its never-served server
+    again into the same slot, and the fleet serves on unchanged."""
+
+    def test_killed_worker_is_respawned_into_its_slot(self, saved):
+        model, X, path = saved
+        proc, base = _boot_daemon(
+            path,
+            ("--workers", "2", "--batch-window-ms", "2", "--trace", "on"),
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while len(_child_pids(proc.pid)) < 2:
+                assert time.monotonic() < deadline, "workers never forked"
+                time.sleep(0.05)
+            before = _child_pids(proc.pid)
+            victim = min(before)
+            os.kill(victim, signal.SIGKILL)
+            # The parent names the slot it respawns (after the rest of
+            # the boot lines).
+            lines = []
+            while not lines or "respawning" not in lines[-1]:
+                lines.append(proc.stdout.readline())
+                assert lines[-1], lines
+            match = re.match(
+                rf"worker (\d) \(pid {victim}\) exited on signal "
+                rf"{int(signal.SIGKILL)}; respawning",
+                lines[-1],
+            )
+            assert match, lines
+            slot = int(match.group(1))
+            while True:
+                now = _child_pids(proc.pid)
+                if len(now) == 2 and victim not in now:
+                    break
+                assert time.monotonic() < deadline, now
+                time.sleep(0.05)
+            (newcomer,) = now - before
+
+            # Scores stay byte-identical, and some request lands on the
+            # new pid serving the dead worker's slot: a batch id is
+            # ``<pid>-<seq>`` and the trace names the slot.
+            rows = X[:4]
+            expected = score_batch(model, rows).tolist()
+            seen = set()
+            for i in range(400):
+                request_id = f"respawn-{i}"
+                request = urllib.request.Request(
+                    base + "/v1/models/demo/score",
+                    data=json.dumps({"rows": rows.tolist()}).encode(),
+                    headers={"X-Request-Id": request_id},
+                    method="POST",
+                )
+                with urllib.request.urlopen(request, timeout=30) as resp:
+                    assert json.loads(resp.read())["scores"] == expected
+                status, body = _request(base, f"/v1/debug/trace/{request_id}")
+                assert status == 200, body
+                trace = body["trace"]
+                pid = int(trace["batch"]["id"].split("-")[0])
+                seen.add((pid, trace["worker"]))
+                if (newcomer, slot) in seen:
+                    break
+            assert (newcomer, slot) in seen, seen
+            assert victim not in {pid for pid, _ in seen}
+
+            status, metrics = _request(base, "/metrics")
+            assert status == 200
+            assert metrics["workers"]["count"] == 2
+        finally:
+            code = _stop_daemon(proc)
+            proc.stdout.close()
+        assert code == 0
 
 
 class TestSharedMetricsStore:
