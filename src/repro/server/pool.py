@@ -202,36 +202,53 @@ class WorkerPool:
         return os.path.join(self._metrics_dir, "traces")
 
     def _spawn(self, slot: int) -> None:
-        pid = os.fork()
-        if pid == 0:
-            # Child: shed the parent's inherited handlers (they would
-            # forward signals to *its* pid table if they ever ran
-            # here).  Until install_graceful_shutdown replaces them, a
-            # shutdown signal simply exits 0: nothing is in flight yet,
-            # and the default disposition would make the parent count
-            # a perfectly clean stop as a failed drain.
-            _booting_exit = lambda signum, frame: os._exit(0)  # noqa: E731
-            signal.signal(signal.SIGTERM, _booting_exit)
-            signal.signal(signal.SIGINT, _booting_exit)
-            if hasattr(signal, "SIGHUP"):
-                # A retune arriving before the real reload handler is
-                # installed has nothing to retune yet; ignore it (the
-                # operator's next SIGHUP lands on the whole fleet).
-                signal.signal(signal.SIGHUP, signal.SIG_IGN)
-            self._worker_main(slot)  # never returns
-            os._exit(70)  # pragma: no cover - unreachable
-        self._pids[pid] = slot
-        self._spawned_at[slot] = time.monotonic()
-        # A stop signal can land between reaping a dead worker and
-        # respawning it: _request_stop only signals the pids it can
-        # see, so a replacement forked during that window must be
-        # told to drain here or it would serve until the SIGKILL
-        # escalation and turn a clean stop into a failed drain.
-        if self._stopping:
-            try:
-                os.kill(pid, signal.SIGTERM)
-            except ProcessLookupError:  # pragma: no cover - exited already
-                pass
+        # The signals stay blocked across the fork.  The child would
+        # otherwise run the parent's inherited stop handler on a
+        # SIGTERM landing before it sheds it: the signal is swallowed
+        # and the worker serves on until the SIGKILL escalation turns
+        # a clean stop into a failed drain.  In the parent, a stop
+        # that lands mid-fork is held until the new pid is recorded,
+        # so _request_stop signals it too.
+        held = [signal.SIGTERM, signal.SIGINT]
+        if hasattr(signal, "SIGHUP"):
+            held.append(signal.SIGHUP)
+        signal.pthread_sigmask(signal.SIG_BLOCK, held)
+        pid = -1
+        try:
+            pid = os.fork()
+            if pid == 0:
+                # Child: shed the parent's handlers.  Until
+                # install_graceful_shutdown replaces them, a shutdown
+                # signal simply exits 0: nothing is in flight yet, and
+                # the default disposition would make the parent count
+                # a perfectly clean stop as a failed drain.
+                _booting_exit = lambda signum, frame: os._exit(0)  # noqa: E731
+                signal.signal(signal.SIGTERM, _booting_exit)
+                signal.signal(signal.SIGINT, _booting_exit)
+                if hasattr(signal, "SIGHUP"):
+                    # A retune arriving before the real reload handler
+                    # is installed has nothing to retune yet; ignore it
+                    # (the operator's next SIGHUP lands on the whole
+                    # fleet).
+                    signal.signal(signal.SIGHUP, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
+                self._worker_main(slot)  # never returns
+                os._exit(70)  # pragma: no cover - unreachable
+            self._pids[pid] = slot
+            self._spawned_at[slot] = time.monotonic()
+            # A stop can land between reaping a dead worker and
+            # respawning it: _request_stop only signals the pids it
+            # can see, so a replacement forked after the stop began
+            # must be told to drain here.  (A stop held by the mask
+            # runs _request_stop on unblock, which sees this pid.)
+            if self._stopping:
+                try:
+                    os.kill(pid, signal.SIGTERM)
+                except ProcessLookupError:  # pragma: no cover - exited
+                    pass
+        finally:
+            if pid != 0:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
 
     def _forward_reload(self, signum, frame) -> None:
         """Parent ``SIGHUP`` handler: fan the retune out to workers."""

@@ -245,6 +245,31 @@ class TestKeepaliveValidation:
                     keepalive_timeout=bad,
                 )
 
+    def test_pool_rejects_zero_and_negative(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro import RankingPrincipalCurve
+        from repro.cli import main
+        from repro.data.synthetic import sample_monotone_cloud
+        from repro.serving import save_model
+
+        alpha = np.array([1.0, 1.0])
+        cloud = sample_monotone_cloud(alpha=alpha, n=30, seed=2, noise=0.02)
+        model = RankingPrincipalCurve(alpha=alpha, n_restarts=1).fit(cloud.X)
+        path = tmp_path / "demo.json"
+        save_model(model, path)
+        # --workers 2 builds the same server before it forks, so the
+        # pool boot refuses the value before anything serves.
+        for bad in ("0", "-2"):
+            code = main([
+                "serve", "--model", f"demo={path}", "--port", "0",
+                "--workers", "2", "--keepalive-timeout", bad,
+            ])
+            out, err = capsys.readouterr()
+            assert code == 2, (bad, out, err)
+            assert "keepalive" in err, (bad, err)
+            assert "serving" not in out, (bad, out)
+
     def test_large_timeout_still_accepted(self):
         server = ScoringHTTPServer(
             ("127.0.0.1", 0), ModelRegistry(), keepalive_timeout=86400.0

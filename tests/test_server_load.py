@@ -439,6 +439,30 @@ class TestBootValidation:
                 assert "serving" not in out, case
 
 
+class TestWorkerPoolValidation:
+    def test_bad_knobs_fail_before_binding(self):
+        from repro.core.exceptions import ConfigurationError
+        from repro.server import ModelRegistry, ScoringHTTPServer, WorkerPool
+
+        # Same fail-fast contract as the single-process boot: these
+        # must error at construction, not as a crash-looping fleet.
+        # The pool checks its worker count; the serving knobs are
+        # checked by the server it forks, before that server binds.
+        server = ScoringHTTPServer(("127.0.0.1", 0), ModelRegistry())
+        try:
+            with pytest.raises(ConfigurationError, match="workers"):
+                WorkerPool(server, workers=0)
+        finally:
+            server.server_close()
+        for knob, match in (
+            ({"chunk_size": 0}, "chunk_size"),
+            ({"batch_window": -1.0}, "window"),
+            ({"max_batch_rows": 0}, "max_rows"),
+        ):
+            with pytest.raises(ConfigurationError, match=match):
+                ScoringHTTPServer(("127.0.0.1", 0), ModelRegistry(), **knob)
+
+
 def _child_pids(parent: int) -> set:
     """Pids whose parent is ``parent``, read from ``/proc``."""
     children = set()
