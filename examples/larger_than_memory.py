@@ -16,14 +16,14 @@ a gzipped CSV, with every knob that bounds memory spelled out:
    in-memory ``build_ranking_list`` path — same scores, same stable
    tie-breaks — which this script verifies at the end.
 
-The same flows are available from the shell::
+The two ranking flows are available from the shell (``repro score``
+always ranks through ``stream_rank_csv``)::
 
-    python -m repro score model.json huge.csv.gz --stream
-    python -m repro score model.json huge.csv.gz --stream --top-k 10
-    python -m repro score model.json huge.csv.gz --stream --rank \
+    python -m repro score model.json huge.csv.gz --top-k 10
+    python -m repro score model.json huge.csv.gz \
         --memory-budget-rows 100000 --output ranking.csv
 
-Memory model of the ``--rank`` path: peak resident rows =
+Memory model of the full-ranking path: peak resident rows =
 ``chunk_size`` (scoring buffer) + ``memory_budget_rows``
 (sorter buffer), plus ``max_open_runs`` open files during the merge;
 spill files live in a temp directory that is removed on success,

@@ -12,9 +12,8 @@ Usage::
         --model model.json
     python -m repro load model.json       # inspect a saved model
     python -m repro score model.json fresh.csv --output ranking.csv
-    python -m repro score model.json huge.csv --stream
-    python -m repro score model.json huge.csv.gz --stream --top-k 10
-    python -m repro score model.json huge.csv.gz --stream --rank \
+    python -m repro score model.json huge.csv.gz --top-k 10
+    python -m repro score model.json huge.csv.gz \
         --memory-budget-rows 100000 --output ranking.csv
 
     # long-running scoring daemon (JSON over HTTP)
@@ -28,17 +27,14 @@ default), fits a Ranking Principal Curve with the given attribute
 directions, prints the top of the ranking list and optionally writes
 the full list to a CSV.  ``save`` fits the same way but persists the
 fitted model (JSON, ``.npz``, or a manifest directory) instead of
-discarding it — any registered model family (``--family``);
-``score`` reloads such a model in a fresh process and scores new rows
-with chunked, bounded-memory batch projection — no refitting; with
-``--stream`` the CSV (gzipped or plain) is read incrementally so
-inputs larger than memory score in ``O(chunk_size)`` space,
-``--top-k N`` folds the stream into a bounded heap so even the ranking
-list never materialises, and
-``--rank`` produces the *complete* ranking through a spill-to-disk
-external merge sort (``--memory-budget-rows`` bounds the buffered
-rows) with output byte-identical to the in-memory path.  ``serve``
-keeps any number of saved models
+discarding it — any registered model family (``--family``); ``score``
+reloads such a model in a fresh process and ranks new rows with no
+refitting: the CSV (gzipped or plain) is read and scored a chunk at a
+time, and the *complete* ranking comes out of a spill-to-disk external
+merge sort (``--memory-budget-rows`` bounds the buffered rows),
+byte-identical to ranking the whole table in memory; ``--top-k N``
+instead folds the stream into a bounded heap so even the ranking list
+never materialises.  ``serve`` keeps any number of saved models
 resident behind an HTTP daemon (see :mod:`repro.server`) instead of
 paying a process start per scoring run; its concurrency comes from
 ``--workers`` processes and ``--batch-window-ms`` micro-batching.
@@ -54,24 +50,16 @@ import sys
 import warnings
 from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.core.exceptions import (
-    ConfigurationError,
-    DataValidationError,
-    ReproError,
-)
+from repro.core.exceptions import ConfigurationError, ReproError
 from repro.core.rpc import RankingPrincipalCurve
-from repro.core.scoring import build_ranking_list
 from repro.data.loaders import load_csv, parse_alpha_spec, save_ranking_csv
 from repro.linalg.backend import BACKEND_CHOICES
-from repro.serving.batch import score_batch
 from repro.families import build_model, family_names
 from repro.serving.persistence import check_model_path, load_model, save_model
 from repro.serving.stream import (
-    iter_stream_scores,
     stream_rank_csv,
     stream_rank_topk,
+    write_ranking,
 )
 
 
@@ -184,28 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows per projection chunk (default 4096)",
     )
     score.add_argument(
-        "--stream",
-        action="store_true",
-        help="read the CSV incrementally (never materialises the "
-        "input; output is identical to the in-memory path)",
-    )
-    score.add_argument(
         "--top-k",
         type=int,
         default=None,
         dest="top_k",
         metavar="N",
-        help="streaming rank: keep only the best N rows in a bounded "
-        "heap so the full ranking never materialises (requires "
-        "--stream; prints and writes just those N rows)",
-    )
-    score.add_argument(
-        "--rank",
-        action="store_true",
-        help="full streaming rank: order ALL rows via a spill-to-disk "
-        "external merge sort (requires --stream; output is "
-        "byte-identical to the in-memory ranking path while peak "
-        "buffered rows stay within --memory-budget-rows)",
+        help="keep only the best N rows in a bounded heap so the full "
+        "ranking never materialises (prints and writes just those N "
+        "rows)",
     )
     score.add_argument(
         "--memory-budget-rows",
@@ -214,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="memory_budget_rows",
         metavar="N",
         help="rows buffered in memory before the external sort spills "
-        "a sorted run to disk (with --rank; default 1000000)",
+        "a sorted run to disk (default 1000000; not with --top-k)",
     )
     score.add_argument(
         "--backend",
@@ -391,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard = sub.add_parser(
         "shard",
         help="coordinate a score/rank job across shard daemons",
-        epilog="sharded serving guide (topology, consistent-hash "
+        epilog="sharded serving guide (topology, round-robin "
         "partitioning, shard-death reroute and exactly-once semantics, "
         "coordinator metrics roll-up): docs/ops.md, section "
         "'Sharded scoring and rank'",
@@ -440,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'rank' (default) writes the complete ranking CSV, "
         "byte-identical to the single-box streaming rank; 'score' "
         "writes label,score rows in input order, byte-identical to "
-        "'repro score --stream'",
+        "the single-box streaming score",
     )
     shard.add_argument(
         "--output", default=None, help="write the result CSV here"
@@ -489,16 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_ranking(
-    ranking, top: int, output: Optional[str], saved_as: str = "full ranking"
-) -> None:
-    """Shared ranking display of the ``rank`` and ``score`` commands."""
+def _print_head(entries: Sequence[tuple[str, float]]) -> None:
+    """The ``pos score label`` table of the ``rank`` and ``score``
+    commands.  Positions count the best-first entries, so duplicate
+    labels print their own positions."""
     print(f"{'pos':>4}  {'score':>8}  label")
-    for label, score in ranking.top(top):
-        print(f"{ranking.position_of(label):>4}  {score:>8.4f}  {label}")
-    if output:
-        save_ranking_csv(output, ranking)
-        print(f"{saved_as} written to {output}")
+    for position, (label, score) in enumerate(entries, start=1):
+        print(f"{position:>4}  {score:>8.4f}  {label}")
 
 
 def _run_rank(args: argparse.Namespace) -> int:
@@ -517,7 +488,10 @@ def _run_rank(args: argparse.Namespace) -> int:
     print(f"ranked {len(table.labels)} objects on "
           f"{len(table.attribute_names)} attributes "
           f"(explained variance {model.explained_variance(table.X):.3f})")
-    _print_ranking(ranking, args.top, args.output)
+    _print_head(ranking.top(args.top))
+    if args.output:
+        save_ranking_csv(args.output, ranking)
+        print(f"full ranking written to {args.output}")
     return 0
 
 
@@ -624,49 +598,11 @@ def _run_load(args: argparse.Namespace) -> int:
 
 def _run_score(args: argparse.Namespace) -> int:
     model = load_model(args.model_path)
-    if args.rank and not args.stream:
-        raise ConfigurationError(
-            "--rank is a streaming rank mode; combine it with --stream"
-        )
-    if args.rank and args.top_k is not None:
-        raise ConfigurationError(
-            "--top-k and --rank are mutually exclusive: --top-k keeps "
-            "the best N rows, --rank orders all of them"
-        )
-    if args.memory_budget_rows is not None and not args.rank:
-        raise ConfigurationError(
-            "--memory-budget-rows tunes the external sort; it requires "
-            "--stream --rank"
-        )
-    if args.rank:
-        # Full streaming rank: scored chunks spill to sorted run files
-        # whenever more than --memory-budget-rows rows are buffered,
-        # and a k-way merge writes the complete ranking incrementally —
-        # byte-identical to the in-memory path below, without ever
-        # materialising the input, the scores, or the ranking list.
-        n_rows, head = stream_rank_csv(
-            model,
-            args.csv_path,
-            args.output,
-            chunk_size=args.chunk_size,
-            label_column=args.label_column,
-            backend=args.backend,
-            memory_budget_rows=args.memory_budget_rows,
-            head=max(args.top, 0),
-        )
-        print(
-            f"scored {n_rows} objects with saved model {args.model_path}"
-        )
-        print(f"{'pos':>4}  {'score':>8}  label")
-        for position, (label, score) in enumerate(head, start=1):
-            print(f"{position:>4}  {score:>8.4f}  {label}")
-        if args.output:
-            print(f"full ranking written to {args.output}")
-        return 0
     if args.top_k is not None:
-        if not args.stream:
+        if args.memory_budget_rows is not None:
             raise ConfigurationError(
-                "--top-k is a streaming rank mode; combine it with --stream"
+                "--memory-budget-rows bounds the external sort; --top-k "
+                "keeps a bounded heap and never sorts"
             )
         # Bounded-heap rank: neither the input matrix nor the ranking
         # list is ever materialised — only the k best entries survive.
@@ -682,56 +618,35 @@ def _run_score(args: argparse.Namespace) -> int:
             f"scored {n_rows} objects with saved model {args.model_path} "
             f"(top {len(top)} kept)"
         )
-        ranking = build_ranking_list(
-            np.asarray([score for _, score in top]),
-            labels=[label for label, _ in top],
-        )
-        _print_ranking(
-            ranking, len(top), args.output, saved_as=f"top-{len(top)} ranking"
-        )
-        return 0
-    if args.stream:
-        # Streaming path: the input matrix is never materialised —
-        # only the (small) label and score vectors accumulate, so the
-        # ranking and every printed line match the in-memory path
-        # exactly while peak memory stays O(chunk_size * d).
-        labels: list[str] = []
-        score_chunks = []
-        for chunk_labels, chunk_scores in iter_stream_scores(
-            model,
-            args.csv_path,
-            chunk_size=args.chunk_size,
-            label_column=args.label_column,
-            backend=args.backend,
-        ):
-            labels.extend(chunk_labels)
-            score_chunks.append(chunk_scores)
-        scores = np.concatenate(score_chunks)
-    else:
-        table = load_csv(
-            args.csv_path,
-            label_column=args.label_column,
-            attribute_columns=model.feature_names_,
-        )
-        expected = model.n_attributes
-        if expected is not None and table.X.shape[1] != expected:
-            raise DataValidationError(
-                f"model expects {expected} attributes but "
-                f"{args.csv_path} provides {table.X.shape[1]}"
+        _print_head(top)
+        if args.output:
+            write_ranking(
+                (
+                    (position, label, score)
+                    for position, (label, score) in enumerate(top, start=1)
+                ),
+                args.output,
             )
-        labels = table.labels
-        scores = score_batch(
-            model,
-            table.X,
-            chunk_size=args.chunk_size,
-            backend=args.backend,
-        )
-    ranking = build_ranking_list(scores, labels=labels)
-    print(
-        f"scored {len(labels)} objects with saved model "
-        f"{args.model_path}"
+            print(f"top-{len(top)} ranking written to {args.output}")
+        return 0
+    # Full rank: scored chunks spill to sorted run files whenever more
+    # than --memory-budget-rows rows are buffered, and a k-way merge
+    # writes the complete ranking incrementally — never materialising
+    # the input, the scores, or the ranking list.
+    n_rows, head = stream_rank_csv(
+        model,
+        args.csv_path,
+        args.output,
+        chunk_size=args.chunk_size,
+        label_column=args.label_column,
+        backend=args.backend,
+        memory_budget_rows=args.memory_budget_rows,
+        head=max(args.top, 0),
     )
-    _print_ranking(ranking, args.top, args.output)
+    print(f"scored {n_rows} objects with saved model {args.model_path}")
+    _print_head(head)
+    if args.output:
+        print(f"full ranking written to {args.output}")
     return 0
 
 

@@ -40,8 +40,9 @@ class RankingList:
     labels: Optional[list[str]] = None
 
     def top(self, k: int) -> list[tuple[str, float]]:
-        """The best ``k`` objects as ``(label, score)`` pairs."""
-        k = min(k, self.scores.size)
+        """The best ``k`` objects as ``(label, score)`` pairs
+        (none for ``k <= 0``)."""
+        k = min(max(k, 0), self.scores.size)
         out = []
         for idx in self.order[:k]:
             label = self.labels[idx] if self.labels else str(idx)
@@ -49,10 +50,11 @@ class RankingList:
         return out
 
     def bottom(self, k: int) -> list[tuple[str, float]]:
-        """The worst ``k`` objects as ``(label, score)`` pairs, worst last."""
-        k = min(k, self.scores.size)
+        """The worst ``k`` objects as ``(label, score)`` pairs, worst
+        last (none for ``k <= 0``)."""
+        k = min(max(k, 0), self.scores.size)
         out = []
-        for idx in self.order[-k:]:
+        for idx in self.order[self.scores.size - k:]:
             label = self.labels[idx] if self.labels else str(idx)
             out.append((label, float(self.scores[idx])))
         return out

@@ -19,12 +19,12 @@ halves of that workflow:
   distance matrix), plus a generator variant for streaming pipelines.
 * :mod:`repro.serving.stream` — incremental CSV scoring: lazily parse
   rows, buffer them into chunks, score each chunk and write results
-  out, so ``repro score --stream`` never materialises its input.
+  out, so ``repro score`` never materialises its input.
 * :mod:`repro.serving.extsort` — spill-to-disk external merge sort,
   the full-ordering complement of the bounded top-``k`` heap: when
   *all* rows must come back ranked, sorted runs spill at a fixed
   ``memory_budget_rows`` and a k-way merge emits the complete ranking
-  (``repro score --stream --rank``), byte-identical to the in-memory
+  (``repro score``), byte-identical to the in-memory
   ``build_ranking_list`` path.
 
 For a long-running daemon on top of these pieces (model registry,

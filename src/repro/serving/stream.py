@@ -21,11 +21,11 @@ The pipeline has three small stages, each usable on its own:
 3. a terminus per output shape: :func:`stream_score_csv` writes
    each chunk's ``label,score`` rows in one call, in input order;
    :func:`stream_rank_topk` folds the chunks into a bounded top-``k``
-   heap (``repro score --stream --top-k N``); and
+   heap (``repro score --top-k N``); and
    :func:`stream_rank_csv` produces the *complete* ranking through the
    external merge sort of :mod:`repro.serving.extsort`
-   (``repro score --stream --rank``), so even a full ordering never
-   buffers more than ``memory_budget_rows`` rows.
+   (``repro score``), so even a full ordering never buffers more than
+   ``memory_budget_rows`` rows.
 
 Chunk boundaries here are the same multiples of ``chunk_size`` that
 :func:`~repro.serving.batch.score_batch` uses, so the streamed scores
@@ -33,8 +33,9 @@ are bit-identical to ``score_batch(model, load_csv(path).X,
 chunk_size)`` — asserted in ``tests/test_serving_stream.py``.  (Scores
 across *different* chunkings agree to float precision, not bit-for-bit:
 the vectorised GSS loop iterates until every row in the chunk
-converges.)  ``repro score --stream`` rides this pipeline and produces
-byte-identical output to the in-memory path at the same chunk size.
+converges.)  ``repro score`` rides this pipeline, and its ranking file
+is byte-identical to the in-memory library ranking (``score_batch`` ->
+``build_ranking_list`` -> ``save_ranking_csv``) at the same chunk size.
 """
 
 from __future__ import annotations
@@ -163,23 +164,30 @@ def iter_stream_scores(
     """Yield ``(labels, scores)`` per buffered chunk of a CSV, in order.
 
     Attribute columns are selected and ordered by the model's stored
-    ``feature_names_`` when present (the same convention as the
-    in-memory ``repro score`` path), so a CSV with extra or reordered
+    ``feature_names_`` when present, so a CSV with extra or reordered
     columns scores correctly.  A width mismatch against the model's
     direction vector raises :class:`DataValidationError` on the first
     chunk, before any scores are produced.
+
+    Batch-relative families (``model.pointwise_scores`` false, e.g.
+    Borda) score a row by its position among *all* rows, so for them
+    the whole file is parsed as one table and scored in one call — the
+    rule :func:`~repro.serving.batch.score_batch` applies in memory.
     """
     from repro.serving.batch import _validate_chunk_size, score_batch
 
     path = pathlib.Path(path)
     chunk_size = _validate_chunk_size(chunk_size)
-    for chunk in iter_csv_chunks(
-        path,
-        chunk_size=chunk_size,
+    columns = dict(
         label_column=label_column,
         attribute_columns=model.feature_names_,
         delimiter=delimiter,
-    ):
+    )
+    if getattr(model, "pointwise_scores", True):
+        chunks = iter_csv_chunks(path, chunk_size=chunk_size, **columns)
+    else:
+        chunks = iter_csv_tables(path, chunk_size=None, **columns)
+    for chunk in chunks:
         expected = model.n_attributes
         if expected is not None and chunk.X.shape[1] != expected:
             raise DataValidationError(

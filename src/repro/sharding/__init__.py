@@ -17,11 +17,9 @@ for it:
 
 Pieces
 ------
-:class:`~repro.sharding.hashring.ConsistentHashRing`
-    Deterministic consistent hashing of row-range blocks over shard
-    hosts; removing a dead host moves only its own blocks.
 :class:`~repro.sharding.coordinator.ShardCoordinator`
-    Streams a CSV in blocks, posts each block to its shard, adopts the
+    Streams a CSV in blocks, deals them round-robin over the live
+    shards (block ``i`` to ``live[i % len(live)]``), adopts the
     returned runs into an :class:`~repro.serving.extsort.ExternalSorter`
     and k-way merges them into a ranking byte-identical to one box.
     A shard death mid-job reroutes that shard's blocks to survivors —
@@ -39,12 +37,10 @@ failure semantics.
 """
 
 from repro.sharding.coordinator import ShardCoordinator, ShardJobError
-from repro.sharding.hashring import ConsistentHashRing
 from repro.sharding.local import LocalShardFleet
 from repro.sharding.rollup import fetch_shard_metrics, rollup_metrics
 
 __all__ = [
-    "ConsistentHashRing",
     "LocalShardFleet",
     "ShardCoordinator",
     "ShardJobError",

@@ -1,9 +1,12 @@
 """The shard coordinator: one ranking job fanned over many daemons.
 
 ``repro shard`` drives this class.  The input CSV streams through the
-coordinator in fixed-size *blocks* of consecutive rows; a
-:class:`~repro.sharding.hashring.ConsistentHashRing` assigns each block
-to a shard daemon, which scores it through
+coordinator in fixed-size *blocks* of consecutive rows, dealt
+round-robin over the live shard daemons: block ``i`` goes to
+``live[i % len(live)]``, where ``live`` is the shard URLs in the order
+given minus the dead ones.  Every shard serves the same model and keeps
+no state between blocks, so any shard can take any block.  A shard
+scores its block through
 ``POST /v1/models/<name>/rank-shard`` and returns the block as one
 sorted :mod:`repro.serving.extsort` run file carrying *global* row
 indices.  The coordinator adopts every run (validated record by
@@ -20,12 +23,11 @@ Failure semantics (the exactly-once story)
 The block is the unit of retry.  A block is *adopted* only when its
 shard's complete, validated run response has arrived; a shard that
 dies mid-job (connection refused/reset, timeout, 5xx, truncated
-response) is removed from the ring and every one of its unadopted
-blocks is re-posted to the shard the thinned ring now assigns —
-consistent hashing guarantees survivors' blocks do not move.  A block
-the dead shard may have half-scored was never adopted, and the rerun
-lands exactly once, so the merged ranking contains every input row
-exactly once whatever the failure interleaving (drilled in CI by
+response) is dropped from the live list and every one of its unadopted
+blocks is re-posted to the survivor the shorter list now assigns.  A
+block the dead shard may have half-scored was never adopted, and the
+rerun lands exactly once, so the merged ranking contains every input
+row exactly once whatever the failure interleaving (drilled in CI by
 SIGKILLing a shard mid-rank and ``cmp``-ing against the single-box
 output).
 """
@@ -53,10 +55,9 @@ from repro.serving.stream import (
     iter_csv_chunks,
     write_ranking,
 )
-from repro.sharding.hashring import ConsistentHashRing
 
 #: Rows per block — the retry/exactly-once unit and the granularity of
-#: the consistent-hash split.  A multiple of the daemon's default
+#: the round-robin split.  A multiple of the daemon's default
 #: projection chunk (4096), so block-internal chunk boundaries land on
 #: the same global row multiples as a single box scoring the whole
 #: file; 4 chunks per block keeps per-request overhead amortised while
@@ -81,7 +82,7 @@ class ShardJobError(ReproError, RuntimeError):
 class _ShardDeath(Exception):
     """Internal: this shard is gone; reroute the block (never surfaces
     to callers — either a survivor finishes the block or the job raises
-    :class:`ShardJobError` when the ring empties)."""
+    :class:`ShardJobError` when no live shard is left)."""
 
 
 @dataclass
@@ -115,8 +116,6 @@ class ShardCoordinator:
         :class:`ExternalSorter` (one adopted run per block; jobs with
         more blocks than the budget trigger the usual multi-pass
         merge).
-    replicas:
-        Virtual-node points per shard on the hash ring.
     on_block:
         Optional hook ``(block_index, shard_url, n_rows) -> None``
         called (on the coordinator thread) as each block's run is
@@ -125,7 +124,7 @@ class ShardCoordinator:
     Attributes
     ----------
     dead_shards:
-        URLs removed from the ring, in order of death.
+        URLs dropped from the live list, in order of death.
     retried_blocks:
         Blocks that were re-posted after their shard died.
     blocks_by_shard:
@@ -140,7 +139,6 @@ class ShardCoordinator:
         timeout: float = DEFAULT_SHARD_TIMEOUT,
         max_open_runs: Optional[int] = None,
         tmp_dir: Optional[str | pathlib.Path] = None,
-        replicas: Optional[int] = None,
         on_block: Optional[Callable[[int, str, int], None]] = None,
     ):
         urls = [str(url).rstrip("/") for url in shard_urls]
@@ -166,9 +164,7 @@ class ShardCoordinator:
         self.max_open_runs = max_open_runs
         self.tmp_dir = tmp_dir
         self.on_block = on_block
-        self._ring = ConsistentHashRing(
-            urls, **({} if replicas is None else {"replicas": replicas})
-        )
+        self._live = list(urls)
         self._lock = threading.Lock()
         self.dead_shards: List[str] = []
         self.retried_blocks = 0
@@ -186,7 +182,9 @@ class ShardCoordinator:
         reordered input columns still rank identically).
         """
         last_error: Optional[Exception] = None
-        for url in self._ring.nodes:
+        with self._lock:
+            live = list(self._live)
+        for url in live:
             try:
                 with urllib.request.urlopen(
                     f"{url}/v1/models/{self.model_name}",
@@ -209,19 +207,19 @@ class ShardCoordinator:
 
     def _mark_dead(self, url: str) -> None:
         with self._lock:
-            if url not in self._ring:
+            if url not in self._live:
                 return  # another block's failure got here first
-            if len(self._ring) == 1:
+            if len(self._live) == 1:
                 raise ShardJobError(
                     f"every shard is dead (last: {url}); "
                     f"dead so far: {self.dead_shards + [url]}"
                 )
-            self._ring.remove(url)
+            self._live.remove(url)
             self.dead_shards.append(url)
 
     def _shard_for(self, block_index: int) -> str:
         with self._lock:
-            return self._ring.node_for(block_index)
+            return self._live[block_index % len(self._live)]
 
     def _post_block(self, block: _Block) -> bytes:
         """Score one block, rerouting past dead shards; returns the run.
@@ -469,7 +467,7 @@ class ShardCoordinator:
         with self._lock:
             return {
                 "shards": list(self.shard_urls),
-                "live_shards": list(self._ring.nodes),
+                "live_shards": sorted(self._live),
                 "dead_shards": list(self.dead_shards),
                 "n_blocks": int(self.n_blocks),
                 "retried_blocks": int(self.retried_blocks),

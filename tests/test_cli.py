@@ -357,3 +357,71 @@ class TestServingCommands:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestDuplicateLabels:
+    """Two rows labelled ``x`` print their own positions — the ones the
+    written ranking file gives them — not the first match twice."""
+
+    @pytest.fixture
+    def dup_csv(self, ranking_csv, tmp_path):
+        path, cloud = ranking_csv
+        dup = tmp_path / "dups.csv"
+        lines = ["item,quality,coverage,defects"]
+        for label, row in zip(["x", "y", "x", "z"], cloud.X[:4]):
+            lines.append(f"{label},{row[0]},{row[1]},{row[2]}")
+        dup.write_text("\n".join(lines) + "\n")
+        return path, dup
+
+    @staticmethod
+    def _printed(out):
+        """``(position, label)`` rows of the printed ranking table."""
+        rows = []
+        for line in out.splitlines():
+            fields = line.split()
+            if len(fields) == 3 and fields[0].isdigit():
+                rows.append((int(fields[0]), fields[2]))
+        return rows
+
+    @staticmethod
+    def _written(path):
+        import csv as csv_module
+
+        with path.open() as handle:
+            return [
+                (int(row["position"]), row["label"])
+                for row in csv_module.DictReader(handle)
+            ]
+
+    def _check(self, argv, out_path, capsys):
+        assert main(argv + ["--output", str(out_path)]) == 0
+        printed = self._printed(capsys.readouterr().out)
+        assert [position for position, _ in printed] == [1, 2, 3, 4]
+        assert sorted(label for _, label in printed) == ["x", "x", "y", "z"]
+        assert printed == self._written(out_path)
+
+    def test_rank_prints_true_positions(self, dup_csv, tmp_path, capsys):
+        _, dup = dup_csv
+        self._check(
+            ["rank", str(dup), "--alpha", "+quality,+coverage,-defects",
+             "--top", "4", "--restarts", "1"],
+            tmp_path / "ranking.csv",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("mode", [[], ["--top-k", "4"]])
+    def test_score_prints_true_positions(
+        self, dup_csv, mode, tmp_path, capsys
+    ):
+        path, dup = dup_csv
+        model_path = tmp_path / "model.json"
+        assert main(
+            ["save", str(path), "--alpha", "+quality,+coverage,-defects",
+             "--model", str(model_path), "--restarts", "1"]
+        ) == 0
+        capsys.readouterr()
+        self._check(
+            ["score", str(model_path), str(dup), "--top", "4", *mode],
+            tmp_path / "ranking.csv",
+            capsys,
+        )

@@ -82,6 +82,18 @@ class TestBuildRankingList:
         ranking = build_ranking_list(np.array([1.0, 2.0]))
         assert len(ranking.top(10)) == 2
 
+    def test_non_positive_k_selects_nothing(self):
+        # k is clamped at 0, the rule of the streaming and shard paths'
+        # ``max(top, 0)``: no k <= 0 returns "all but |k|" rows.
+        ranking = build_ranking_list(
+            np.array([0.1, 0.4, 0.9, 0.6]), labels=["a", "b", "c", "d"]
+        )
+        for k in (0, -1, -3, -10):
+            assert ranking.top(k) == []
+            assert ranking.bottom(k) == []
+        assert ranking.bottom(1) == [("a", 0.1)]
+        assert ranking.bottom(10) == ranking.top(10)  # all, worst last
+
     def test_tie_detection(self):
         tied = build_ranking_list(np.array([0.5, 0.5, 0.7]))
         untied = build_ranking_list(np.array([0.4, 0.5, 0.7]))

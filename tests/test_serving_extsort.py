@@ -10,8 +10,9 @@ Three layers under test:
 * :func:`stream_rank_csv` — the streamed full ranking written through
   the sorter must be byte-identical to ``save_ranking_csv`` of the
   in-memory ``build_ranking_list`` path, for plain and gzipped input;
-* the CLI — ``repro score --stream --rank`` end to end, including the
-  flag-combination contract.
+* the CLI — ``repro score`` end to end against the library oracle,
+  with a memory budget small enough to spill, and the one flag
+  combination it refuses.
 """
 
 from __future__ import annotations
@@ -464,37 +465,41 @@ class TestStreamRankCsv:
 
 class TestCliStreamRank:
     def test_byte_identical_through_cli(self, workload, tmp_path, capsys):
-        _, model_path, csv_path, _, _ = workload
-        plain_out = tmp_path / "plain.csv"
+        """A spilling ``repro score`` writes and prints exactly
+        ``save_ranking_csv(build_ranking_list(score_batch(...)))``."""
+        model, model_path, csv_path, X, labels = workload
         rank_out = tmp_path / "rank.csv"
-        base = [
-            "score", str(model_path), str(csv_path),
-            "--label-column", "id", "--chunk-size", "25", "--top", "5",
-        ]
-        assert main(base + ["--output", str(plain_out)]) == 0
-        plain_stdout = capsys.readouterr().out
         assert main(
-            base + [
-                "--stream", "--rank",
-                "--memory-budget-rows", "40",
-                "--output", str(rank_out),
+            [
+                "score", str(model_path), str(csv_path),
+                "--label-column", "id", "--chunk-size", "25", "--top", "5",
+                "--memory-budget-rows", "40", "--output", str(rank_out),
             ]
         ) == 0
         rank_stdout = capsys.readouterr().out
 
-        assert rank_out.read_bytes() == plain_out.read_bytes()
-        # stdout matches apart from the trailing "written to <path>"
-        # line, which names the (necessarily different) output files.
-        assert (
-            rank_stdout.splitlines()[:-1] == plain_stdout.splitlines()[:-1]
+        ranking = build_ranking_list(
+            score_batch(model, X, chunk_size=25), labels=labels
         )
+        oracle_out = tmp_path / "oracle.csv"
+        save_ranking_csv(oracle_out, ranking)
+        assert rank_out.read_bytes() == oracle_out.read_bytes()
+        assert rank_stdout.splitlines() == [
+            f"scored {N_ROWS} objects with saved model {model_path}",
+            f"{'pos':>4}  {'score':>8}  label",
+            *(
+                f"{ranking.position_of(label):>4}  {score:>8.4f}  {label}"
+                for label, score in ranking.top(5)
+            ),
+            f"full ranking written to {rank_out}",
+        ]
 
     def test_rank_without_output_prints_top(self, workload, capsys):
         _, model_path, csv_path, _, _ = workload
         code = main(
             [
                 "score", str(model_path), str(csv_path),
-                "--label-column", "id", "--stream", "--rank", "--top", "3",
+                "--label-column", "id", "--top", "3",
             ]
         )
         assert code == 0
@@ -503,42 +508,45 @@ class TestCliStreamRank:
         table = [line for line in out.splitlines() if line.startswith(" ")]
         assert len(table) == 3 + 1  # header row + 3 entries
 
-    def test_rank_requires_stream(self, workload, capsys):
-        _, model_path, csv_path, _, _ = workload
-        code = main(["score", str(model_path), str(csv_path), "--rank"])
-        assert code == 2
-        assert "--stream" in capsys.readouterr().err
-
-    def test_rank_and_top_k_are_exclusive(self, workload, capsys):
+    def test_negative_top_prints_no_rows(self, workload, capsys):
         _, model_path, csv_path, _, _ = workload
         code = main(
             [
                 "score", str(model_path), str(csv_path),
-                "--stream", "--rank", "--top-k", "3",
+                "--label-column", "id", "--top", "-2",
             ]
         )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert code == 0
+        table = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(" ")
+        ]
+        assert len(table) == 1  # the header row only
 
-    def test_memory_budget_requires_rank(self, workload, capsys):
+    def test_memory_budget_rejected_with_top_k(self, workload, capsys):
         _, model_path, csv_path, _, _ = workload
         code = main(
             [
                 "score", str(model_path), str(csv_path),
-                "--stream", "--memory-budget-rows", "100",
+                "--top-k", "3", "--memory-budget-rows", "100",
             ]
         )
         assert code == 2
-        assert "--rank" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--memory-budget-rows" in err and "--top-k" in err
 
-    def test_rank_parses(self):
+    def test_memory_budget_parses(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            [
-                "score", "m.json", "x.csv", "--stream", "--rank",
-                "--memory-budget-rows", "1000",
-            ]
+            ["score", "m.json", "x.csv", "--memory-budget-rows", "1000"]
         )
-        assert args.rank is True
         assert args.memory_budget_rows == 1000
+
+    @pytest.mark.parametrize("flag", ["--stream", "--rank"])
+    def test_removed_mode_flags_are_refused(self, flag, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["score", "m.json", "x.csv", flag])
+        assert flag in capsys.readouterr().err

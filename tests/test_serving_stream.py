@@ -3,8 +3,9 @@
 The streaming pipeline buffers rows at the same multiples of
 ``chunk_size`` that ``score_batch`` uses, so its scores are
 bit-identical to the in-memory path at the same chunk size — including
-through the CLI, where ``repro score --stream`` must produce
-byte-identical output files.
+through the CLI, where ``repro score`` must write the same bytes and
+print the same lines as the library oracle ``score_batch`` ->
+``build_ranking_list`` -> ``save_ranking_csv``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,19 @@ import pytest
 from repro import RankingPrincipalCurve
 from repro.cli import main
 from repro.core.exceptions import DataValidationError
-from repro.data.loaders import load_csv, save_csv
+from repro.core.scoring import build_ranking_list
+from repro.data.loaders import load_csv, save_csv, save_ranking_csv
 from repro.data.synthetic import sample_monotone_cloud
+from repro.families import build_model
 from repro.serving import (
     iter_csv_chunks,
     iter_csv_rows,
     iter_stream_scores,
+    load_model,
     save_model,
     score_batch,
+    stream_rank_csv,
+    stream_rank_topk,
     stream_score_csv,
 )
 
@@ -48,6 +54,36 @@ def workload(tmp_path_factory):
     model_path = root / "model.json"
     save_model(model, model_path, feature_names=["a", "b", "c"])
     return model, model_path, csv_path, cloud.X, labels
+
+
+def cli_oracle(model_path, csv_path, output, chunk_size, top, label_column):
+    """What ``repro score`` must write and print, from the library.
+
+    Writes ``save_ranking_csv`` of ``build_ranking_list`` over
+    ``score_batch`` of the whole table to ``output``, and returns the
+    stdout lines the in-memory CLI path printed before its final
+    "written to" line.
+    """
+    model = load_model(model_path)
+    table = load_csv(
+        csv_path,
+        label_column=label_column,
+        attribute_columns=model.feature_names_,
+    )
+    ranking = build_ranking_list(
+        score_batch(model, table.X, chunk_size=chunk_size),
+        labels=table.labels,
+    )
+    save_ranking_csv(output, ranking)
+    lines = [
+        f"scored {len(table.labels)} objects with saved model {model_path}",
+        f"{'pos':>4}  {'score':>8}  label",
+    ]
+    for label, score in ranking.top(top):
+        lines.append(
+            f"{ranking.position_of(label):>4}  {score:>8.4f}  {label}"
+        )
+    return lines
 
 
 class TestIterCsvRows:
@@ -265,47 +301,51 @@ class TestAtomicOutput:
 
 
 class TestCliStream:
-    @pytest.fixture()
-    def outputs(self, workload, tmp_path, capsys):
-        """Run `repro score` with and without --stream; capture both."""
+    def test_stream_output_is_byte_identical(self, workload, tmp_path, capsys):
+        """``repro score`` writes and prints exactly the library oracle."""
         _, model_path, csv_path, _, _ = workload
-        plain_out = tmp_path / "plain.csv"
-        stream_out = tmp_path / "stream.csv"
-        base = [
-            "score", str(model_path), str(csv_path),
-            "--label-column", "id", "--chunk-size", "25", "--top", "3",
+        output = tmp_path / "ranking.csv"
+        assert main(
+            [
+                "score", str(model_path), str(csv_path),
+                "--label-column", "id", "--chunk-size", "25", "--top", "3",
+                "--output", str(output),
+            ]
+        ) == 0
+        stdout = capsys.readouterr().out
+        expected = tmp_path / "oracle.csv"
+        lines = cli_oracle(model_path, csv_path, expected, 25, 3, "id")
+        assert output.read_bytes() == expected.read_bytes()
+        assert stdout.splitlines() == lines + [
+            f"full ranking written to {output}"
         ]
-        assert main(base + ["--output", str(plain_out)]) == 0
-        plain_stdout = capsys.readouterr().out
-        assert (
-            main(base + ["--stream", "--output", str(stream_out)]) == 0
-        )
-        stream_stdout = capsys.readouterr().out
-        return plain_out, stream_out, plain_stdout, stream_stdout
 
-    def test_stream_output_is_byte_identical(self, outputs):
-        plain_out, stream_out, plain_stdout, stream_stdout = outputs
-        assert stream_out.read_bytes() == plain_out.read_bytes()
-        # stdout matches apart from the final "written to <path>" line,
-        # which names the (necessarily different) output files.
-        plain_lines = plain_stdout.splitlines()
-        stream_lines = stream_stdout.splitlines()
-        assert stream_lines[:-1] == plain_lines[:-1]
-        assert stream_lines[-1].endswith("stream.csv")
+    def test_gz_input_matches_the_oracle(self, workload, tmp_path, capsys):
+        import gzip
 
-    def test_stream_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["score", "m.json", "x.csv", "--stream"]
-        )
-        assert args.stream is True
+        _, model_path, csv_path, _, _ = workload
+        gz = tmp_path / "fresh.csv.gz"
+        gz.write_bytes(gzip.compress(csv_path.read_bytes()))
+        output = tmp_path / "ranking.csv"
+        assert main(
+            [
+                "score", str(model_path), str(gz), "--label-column", "id",
+                "--chunk-size", "25", "--top", "4", "--output", str(output),
+            ]
+        ) == 0
+        stdout = capsys.readouterr().out
+        expected = tmp_path / "oracle.csv"
+        lines = cli_oracle(model_path, csv_path, expected, 25, 4, "id")
+        assert output.read_bytes() == expected.read_bytes()
+        assert stdout.splitlines() == lines + [
+            f"full ranking written to {output}"
+        ]
 
     def test_stream_bad_csv_is_reported(self, workload, tmp_path, capsys):
         _, model_path, _, _, _ = workload
         bad = tmp_path / "bad.csv"
         bad.write_text("id,a,b,c\nx,1,2,oops\n")
-        code = main(["score", str(model_path), str(bad), "--stream"])
+        code = main(["score", str(model_path), str(bad)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -439,6 +479,68 @@ class TestStreamRankTopK:
             stream_rank_topk(model, csv_path, -1, label_column="id")
 
 
+class TestBatchRelativeFamilies:
+    """A Borda score is a row's position among *all* rows, so every
+    streaming terminus must score the file in one call, exactly as
+    ``score_batch`` does in memory — never one chunk at a time."""
+
+    N = 120
+    CHUNK = 16
+
+    @pytest.fixture(scope="class")
+    def borda(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("borda")
+        cloud = sample_monotone_cloud(
+            alpha=ALPHA, n=self.N, seed=5, noise=0.05
+        )
+        model = build_model("borda", alpha=ALPHA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model.fit(cloud.X)
+        labels = [f"b{i:03d}" for i in range(self.N)]
+        csv_path = root / "rows.csv"
+        save_csv(csv_path, labels, cloud.X, ["a", "b", "c"],
+                 label_column="id")
+        oracle = score_batch(model, cloud.X)
+        return model, csv_path, labels, oracle
+
+    def test_stream_score_csv(self, borda, tmp_path):
+        model, csv_path, labels, oracle = borda
+        out = tmp_path / "scores.csv"
+        stream_score_csv(
+            model, csv_path, out, chunk_size=self.CHUNK, label_column="id"
+        )
+        with out.open() as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [label for label, _ in rows] == labels
+        assert [score for _, score in rows] == [
+            repr(value) for value in oracle.tolist()
+        ]
+
+    def test_stream_rank_csv(self, borda, tmp_path):
+        model, csv_path, labels, oracle = borda
+        reference = tmp_path / "reference.csv"
+        save_ranking_csv(
+            reference, build_ranking_list(oracle, labels=labels)
+        )
+        streamed = tmp_path / "streamed.csv"
+        stream_rank_csv(
+            model, csv_path, streamed, chunk_size=self.CHUNK,
+            label_column="id", memory_budget_rows=40,
+        )
+        assert streamed.read_bytes() == reference.read_bytes()
+
+    def test_stream_rank_topk(self, borda):
+        model, csv_path, labels, oracle = borda
+        top, n_rows = stream_rank_topk(
+            model, csv_path, 10, chunk_size=self.CHUNK, label_column="id"
+        )
+        assert n_rows == self.N
+        assert top == build_ranking_list(oracle, labels=labels).top(10)
+        # The best Borda score reflects all rows, not one 16-row chunk.
+        assert top[0][1] > 2 * self.CHUNK
+
+
 class TestCliTopK:
     def test_matches_plain_score_head(self, workload, tmp_path, capsys):
         _, model_path, csv_path, _, _ = workload
@@ -455,13 +557,13 @@ class TestCliTopK:
             [
                 "score", str(model_path), str(csv_path),
                 "--label-column", "id", "--chunk-size", "25",
-                "--stream", "--top-k", "5", "--output", str(topk_out),
+                "--top-k", "5", "--output", str(topk_out),
             ]
         )
         assert code == 0
         topk_stdout = capsys.readouterr().out
 
-        # The printed top-5 table is identical to the in-memory path's.
+        # The printed top-5 table is identical to the full ranking's.
         plain_table = [
             line for line in plain_stdout.splitlines()
             if line.startswith(" ")
@@ -478,14 +580,6 @@ class TestCliTopK:
         with topk_out.open() as handle:
             topk_rows = list(csv.reader(handle))
         assert topk_rows == full_rows[:6]  # header + 5 rows
-
-    def test_top_k_requires_stream(self, workload, capsys):
-        _, model_path, csv_path, _, _ = workload
-        code = main(
-            ["score", str(model_path), str(csv_path), "--top-k", "3"]
-        )
-        assert code == 2
-        assert "--stream" in capsys.readouterr().err
 
 
 class TestChunkParserEdgeCases:

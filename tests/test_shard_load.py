@@ -6,8 +6,8 @@ merge and reroute logic; this suite drills the same promises against
 topology ``repro shard --local-workers`` runs and the CI
 ``sharded-rank`` job reproduces at 120k rows.  The kill drill here is
 the harsh one: SIGKILL (no drain, no FIN from a dying handler thread)
-against the shard that the deterministic hash ring says owns the final
-block, so a not-yet-posted block is guaranteed to reroute — and the
+against the shard that round-robin routing gives the final block, so a
+not-yet-posted block is guaranteed to reroute — and the
 merged output must still be byte-identical to the single-box ranking.
 """
 
@@ -24,7 +24,6 @@ from repro.data.loaders import save_csv
 from repro.data.synthetic import sample_monotone_cloud
 from repro.serving import save_model, stream_rank_csv
 from repro.sharding import (
-    ConsistentHashRing,
     LocalShardFleet,
     ShardCoordinator,
     fetch_shard_metrics,
@@ -94,9 +93,9 @@ class TestLocalFleetRank:
             # The shard owning the last block is SIGKILLed as soon as
             # the first block lands, so at least one block that has not
             # yet been posted must reroute to a survivor.
-            victim = ConsistentHashRing(fleet.urls).node_for(
-                N_ROWS // ROWS_PER_BLOCK - 1
-            )
+            victim = fleet.urls[
+                (N_ROWS // ROWS_PER_BLOCK - 1) % len(fleet.urls)
+            ]
             killed = []
 
             def _sigkill_victim(block_index, shard_url, n_rows):

@@ -1,14 +1,14 @@
 """Sharded scoring and rank: the coordinator merges exactly one box.
 
 These tests pin the whole distributed-rank contract against live
-in-process daemons: the consistent-hash ring is deterministic and
-moves only a dead node's blocks, a shard's ``rank-shard`` response is
-a validated extsort run with global row indices, the coordinator's
-k-way merge writes output *byte-identical* to the single-box streaming
-path (rank and score modes both), a shard killed mid-job reroutes its
-unadopted blocks to survivors with exactly-once output, and the
-coordinator-level ``/metrics`` roll-up sums shard histograms exactly
-instead of averaging percentiles.
+in-process daemons: blocks are dealt round-robin in URL order and a
+dead shard's blocks go only to survivors, a shard's ``rank-shard``
+response is a validated extsort run with global row indices, the
+coordinator's k-way merge writes output *byte-identical* to the
+single-box streaming path (rank and score modes both), a shard killed
+mid-job reroutes its unadopted blocks to survivors with exactly-once
+output, and the coordinator-level ``/metrics`` roll-up sums shard
+histograms exactly instead of averaging percentiles.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.serving import (
 )
 from repro.serving.extsort import ExternalSorter, iter_run_bytes, pack_run_bytes
 from repro.sharding import (
-    ConsistentHashRing,
     ShardCoordinator,
     ShardJobError,
     fetch_shard_metrics,
@@ -105,55 +104,68 @@ def _post_error(url: str, payload: dict):
     return excinfo.value.code, json.loads(excinfo.value.read())
 
 
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        first = ConsistentHashRing(["a", "b", "c"])
-        second = ConsistentHashRing(["c", "a", "b"])  # order-insensitive
-        for key in range(200):
-            assert first.node_for(key) == second.node_for(key)
+class TestRoundRobinRouting:
+    """Block ``i`` goes to ``live[i % len(live)]``: the ``--shard`` URLs
+    in the order given, minus the dead ones."""
 
-    def test_removal_moves_only_the_dead_nodes_keys(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        before = {key: ring.node_for(key) for key in range(200)}
-        victim = ring.node_for(0)
-        ring.remove(victim)
-        moved = 0
-        for key, owner in before.items():
-            if owner == victim:
-                moved += 1
-                assert ring.node_for(key) != victim
-            else:
-                # Survivors keep every one of their keys — the property
-                # that makes mid-job reroute touch only dead blocks.
-                assert ring.node_for(key) == owner
-        assert moved > 0
+    @staticmethod
+    def _route(urls, csv_path, rows_per_block):
+        """Run a rank job; return its block -> shard map and stats."""
+        placed = {}
 
-    def test_add_back_restores_the_original_assignment(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        before = {key: ring.node_for(key) for key in range(200)}
-        ring.remove("b")
-        ring.add("b")
-        assert before == {key: ring.node_for(key) for key in range(200)}
+        def _record(block_index, shard_url, n_rows):
+            placed[block_index] = shard_url
 
-    def test_roughly_balanced_with_default_replicas(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        counts = {"a": 0, "b": 0, "c": 0}
-        for key in range(3000):
-            counts[ring.node_for(key)] += 1
-        for owned in counts.values():
-            assert 0.5 * 1000 < owned < 1.5 * 1000
+        coordinator = ShardCoordinator(
+            urls, "demo", rows_per_block=rows_per_block, on_block=_record
+        )
+        coordinator.rank_csv(csv_path, None, label_column="id")
+        return placed, coordinator.stats()
 
-    def test_contract_errors(self):
-        with pytest.raises(ConfigurationError):
-            ConsistentHashRing([])
-        with pytest.raises(ConfigurationError):
-            ConsistentHashRing(["a"], replicas=0)
-        ring = ConsistentHashRing(["only"])
-        with pytest.raises(ConfigurationError):
-            ring.remove("only")
-        ring.remove("not-a-member")  # idempotent no-op
-        assert "only" in ring and len(ring) == 1
-        assert ConsistentHashRing(["b", "a"]).nodes == ("a", "b")
+    def test_block_map_is_fixed_by_url_order(self, workload, fleet):
+        _, _, csv_path, *_ = workload
+        urls, _ = fleet
+        for order in (urls, urls[::-1], urls[1:] + urls[:1]):
+            placed, stats = self._route(order, csv_path, rows_per_block=20)
+            assert stats["n_blocks"] == 15
+            assert placed == {i: order[i % 3] for i in range(15)}
+            assert stats["live_shards"] == sorted(urls)
+
+    def test_per_shard_counts_differ_by_at_most_one(self, workload, fleet):
+        _, _, csv_path, *_ = workload
+        urls, _ = fleet
+        for rows_per_block in (300, 150, 64, 37, 10):
+            _, stats = self._route(urls, csv_path, rows_per_block)
+            counts = [stats["blocks_by_shard"].get(url, 0) for url in urls]
+            assert sum(counts) == stats["n_blocks"]
+            assert max(counts) - min(counts) <= 1
+
+    def test_after_a_death_only_survivors_get_blocks(self, workload, fleet):
+        _, _, csv_path, *_ = workload
+        urls, servers = fleet
+        victim = urls[1]
+        servers[1].shutdown()
+        servers[1].server_close()
+        placed, stats = self._route(urls, csv_path, rows_per_block=20)
+        assert sorted(placed) == list(range(15))
+        assert set(placed.values()) == {urls[0], urls[2]}
+        assert stats["dead_shards"] == [victim]
+        assert stats["live_shards"] == sorted([urls[0], urls[2]])
+        assert victim not in stats["blocks_by_shard"]
+
+    def test_a_death_deals_later_blocks_over_the_survivors(self):
+        # Routing alone, no I/O: after the death every block index maps
+        # to the survivors, still in the order the URLs were given.
+        urls = ["http://c:1", "http://a:1", "http://b:1"]
+        coordinator = ShardCoordinator(urls, "demo")
+        assert [coordinator._shard_for(i) for i in range(6)] == urls * 2
+        coordinator._mark_dead("http://a:1")
+        survivors = ["http://c:1", "http://b:1"]
+        assert [coordinator._shard_for(i) for i in range(6)] == survivors * 3
+        coordinator._mark_dead("http://c:1")
+        assert {coordinator._shard_for(i) for i in range(6)} == {"http://b:1"}
+        with pytest.raises(ShardJobError, match="every shard is dead"):
+            coordinator._mark_dead("http://b:1")
 
 
 class TestRunBytes:
@@ -356,10 +368,10 @@ class TestCoordinator:
         stream_rank_csv(model, csv_path, single, label_column="id")
         # 30 blocks of 10 rows: more than the coordinator's in-flight
         # window, so blocks are still being submitted when the victim
-        # dies.  Killing the shard that owns the *last* block (computed
-        # from the same deterministic ring) guarantees at least one
-        # not-yet-posted block must reroute to a survivor.
-        victim = ConsistentHashRing(urls).node_for(29)
+        # dies.  Killing the shard that owns the *last* block (by the
+        # same round-robin rule) guarantees at least one not-yet-posted
+        # block must reroute to a survivor.
+        victim = urls[(30 - 1) % len(urls)]
         killed = []
 
         def _kill_victim(block_index, shard_url, n_rows):
