@@ -203,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the long-running HTTP scoring daemon",
-        epilog="operations guide (worker sizing, batching trade-offs, "
-        "overload behaviour and tuning, metrics semantics, TLS/auth "
-        "proxy): docs/ops.md",
+        epilog="serving knobs are set once, at boot: change one by "
+        "restarting the daemon (SIGHUP is ignored).  Operations guide "
+        "(worker sizing, batching trade-offs, overload behaviour, "
+        "metrics semantics, TLS/auth proxy): docs/ops.md",
     )
     serve.add_argument(
         "--model",
@@ -296,14 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="idle seconds before a kept-alive connection is closed; "
         "must be > 0 (default 30)",
-    )
-    serve.add_argument(
-        "--tuning-file",
-        default=None,
-        dest="tuning_file",
-        metavar="PATH",
-        help="JSON file of batching/admission knobs re-read on SIGHUP "
-        "for zero-downtime retuning (see docs/ops.md)",
     )
     serve.add_argument(
         "--chunk-size",
@@ -669,24 +662,20 @@ def parse_model_specs(specs: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
+    import signal
+
     from repro.obs import AccessLog, Tracer
     from repro.server import (
         ModelRegistry,
         ScoringHTTPServer,
         WorkerPool,
         install_graceful_shutdown,
-        install_tuning_reload,
-        load_tuning_file,
     )
     from repro.server.admission import (
         DEFAULT_MAX_INFLIGHT,
         DEFAULT_RETRY_AFTER,
     )
 
-    if args.tuning_file is not None:
-        # Fail the boot on an unreadable or invalid tuning file rather
-        # than discovering it at the first SIGHUP under load.
-        load_tuning_file(args.tuning_file)
     specs = parse_model_specs(args.models)
     # Load every model once, in this process: a missing or corrupt
     # model file fails the boot, and pool workers inherit the models.
@@ -737,7 +726,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     pool, fleet = None, ""
     if args.workers != 1:
         try:
-            pool = WorkerPool(server, args.workers, args.tuning_file)
+            pool = WorkerPool(server, args.workers)
         except ConfigurationError:
             server.server_close()
             raise
@@ -757,7 +746,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     # both drain gracefully: stop accepting, finish in-flight
     # requests, close the socket, exit 0.
     install_graceful_shutdown(server)
-    install_tuning_reload(server, args.tuning_file)
+    if hasattr(signal, "SIGHUP"):
+        # Knobs are set at boot; a SIGHUP must not kill the daemon.
+        signal.signal(signal.SIGHUP, signal.SIG_IGN)
     try:
         server.serve_forever(poll_interval=0.05)
     except KeyboardInterrupt:  # pragma: no cover - direct Ctrl-C race

@@ -45,8 +45,6 @@ The same daemon ships as a CLI subcommand::
 from repro.server.admission import (
     AdmissionController,
     RequestShed,
-    load_tuning_file,
-    validate_tuning,
 )
 from repro.server.batching import (
     AdaptiveWindowController,
@@ -68,7 +66,6 @@ from repro.server.metrics import (
 from repro.server.pool import (
     WorkerPool,
     install_graceful_shutdown,
-    install_tuning_reload,
 )
 from repro.server.registry import (
     ModelRegistry,
@@ -95,7 +92,4 @@ __all__ = [
     "UnknownModelError",
     "WorkerPool",
     "install_graceful_shutdown",
-    "install_tuning_reload",
-    "load_tuning_file",
-    "validate_tuning",
 ]

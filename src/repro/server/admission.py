@@ -21,26 +21,20 @@ admission control at the scoring boundary:
 ``/healthz``, ``/metrics`` and the registry listing are deliberately
 *not* subject to admission — an overloaded daemon must stay observable.
 
-Zero-downtime retuning
-----------------------
-Both the admission knobs and the micro-batcher knobs reload in place on
-``SIGHUP`` from a JSON *tuning file* (``repro serve --tuning-file``):
-:func:`load_tuning_file` parses and validates it, and
-``ScoringHTTPServer.apply_tuning`` applies it without dropping in-flight
-requests.  In pre-fork mode the pool parent fans the signal out to
-every worker.
+The knobs are set once, by :class:`AdmissionController`'s constructor,
+which rejects a bad value before the daemon binds its socket.  Changing
+one means restarting the daemon; under ``--workers N`` every worker,
+respawns included, is a fork of the parent's one built server and so
+serves the parent's boot flags.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from collections import Counter
-from typing import Optional
 
 from repro.core.exceptions import ConfigurationError
-from repro.server.batching import check_batch_knobs
 
 #: Default bound on concurrently admitted scoring requests per worker.
 #: Generous for interactive traffic (each admitted request holds a
@@ -89,9 +83,23 @@ class AdmissionController:
         max_inflight_per_model: int = 0,
         retry_after: float = DEFAULT_RETRY_AFTER,
     ):
-        _validate_admission_knobs(
-            max_inflight, max_inflight_per_model, retry_after
-        )
+        if int(max_inflight) < 0:
+            raise ConfigurationError(
+                f"max_inflight must be >= 0 (0 = unbounded), "
+                f"got {max_inflight}"
+            )
+        if int(max_inflight_per_model) < 0:
+            raise ConfigurationError(
+                f"max_inflight_per_model must be >= 0 (0 = no per-model "
+                f"quota), got {max_inflight_per_model}"
+            )
+        # Finite too: ``retry_after_header`` rounds it to whole seconds,
+        # and ``int(inf)`` would turn every shed into a 500.
+        if not 0 < float(retry_after) < math.inf:
+            raise ConfigurationError(
+                f"retry_after must be finite and > 0 seconds, "
+                f"got {retry_after}"
+            )
         self.max_inflight = int(max_inflight)
         self.max_inflight_per_model = int(max_inflight_per_model)
         self.retry_after = float(retry_after)
@@ -149,38 +157,6 @@ class AdmissionController:
         """``Retry-After`` value: RFC 7231 wants integer seconds."""
         return str(max(1, int(math.ceil(self.retry_after))))
 
-    def reconfigure(
-        self,
-        max_inflight: Optional[int] = None,
-        max_inflight_per_model: Optional[int] = None,
-        retry_after: Optional[float] = None,
-    ) -> dict:
-        """Retune the bounds in place (the ``SIGHUP`` reload path).
-
-        Requests already admitted keep their slots; lowering a bound
-        below the current in-flight count simply sheds new arrivals
-        until the excess drains.  Returns the applied knobs.
-        """
-        _validate_admission_knobs(
-            self.max_inflight if max_inflight is None else max_inflight,
-            self.max_inflight_per_model
-            if max_inflight_per_model is None
-            else max_inflight_per_model,
-            self.retry_after if retry_after is None else retry_after,
-        )
-        with self._lock:
-            if max_inflight is not None:
-                self.max_inflight = int(max_inflight)
-            if max_inflight_per_model is not None:
-                self.max_inflight_per_model = int(max_inflight_per_model)
-            if retry_after is not None:
-                self.retry_after = float(retry_after)
-            return {
-                "max_inflight": self.max_inflight,
-                "max_inflight_per_model": self.max_inflight_per_model,
-                "retry_after_s": self.retry_after,
-            }
-
     def stats(self) -> dict:
         """Admission state for ``/metrics`` (per-worker)."""
         with self._lock:
@@ -193,87 +169,3 @@ class AdmissionController:
                 "admitted_total": self._admitted_total,
                 "shed_total": self._shed_total,
             }
-
-
-def _validate_admission_knobs(
-    max_inflight, max_inflight_per_model, retry_after
-) -> None:
-    if int(max_inflight) < 0:
-        raise ConfigurationError(
-            f"max_inflight must be >= 0 (0 = unbounded), "
-            f"got {max_inflight}"
-        )
-    if int(max_inflight_per_model) < 0:
-        raise ConfigurationError(
-            f"max_inflight_per_model must be >= 0 (0 = no per-model "
-            f"quota), got {max_inflight_per_model}"
-        )
-    if not float(retry_after) > 0:
-        raise ConfigurationError(
-            f"retry_after must be > 0 seconds, got {retry_after}"
-        )
-
-
-# ----------------------------------------------------------------------
-# SIGHUP tuning files
-# ----------------------------------------------------------------------
-#: Knobs a tuning file may set, mapped to their validators.  Everything
-#: here can be retuned without a restart; knobs that change the process
-#: topology (workers, host, port, models) deliberately cannot.
-TUNING_KEYS = (
-    "batch_window_ms",
-    "max_batch_rows",
-    "batch_policy",
-    "max_inflight",
-    "max_inflight_per_model",
-    "retry_after_s",
-)
-
-
-def validate_tuning(tuning: dict) -> dict:
-    """Check a tuning mapping; returns it, raises on any bad knob."""
-    if not isinstance(tuning, dict):
-        raise ConfigurationError(
-            f"tuning must be a JSON object, got {type(tuning).__name__}"
-        )
-    unknown = sorted(set(tuning) - set(TUNING_KEYS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown tuning keys {unknown}; supported: "
-            f"{', '.join(TUNING_KEYS)}"
-        )
-
-    def _check_batch_key(key: str, **knob) -> None:
-        # The batcher's own check judges the value; the prefix names
-        # the tuning key it came from.
-        try:
-            check_batch_knobs(**knob)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{key}: {exc}") from None
-
-    if "batch_window_ms" in tuning:
-        _check_batch_key(
-            "batch_window_ms", window=float(tuning["batch_window_ms"]) / 1e3
-        )
-    if "max_batch_rows" in tuning:
-        _check_batch_key("max_batch_rows", max_rows=tuning["max_batch_rows"])
-    if "batch_policy" in tuning:
-        _check_batch_key("batch_policy", policy=tuning["batch_policy"])
-    _validate_admission_knobs(
-        tuning.get("max_inflight", 0),
-        tuning.get("max_inflight_per_model", 0),
-        tuning.get("retry_after_s", DEFAULT_RETRY_AFTER),
-    )
-    return tuning
-
-
-def load_tuning_file(path) -> dict:
-    """Read and validate a ``--tuning-file`` JSON document."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            tuning = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(
-            f"cannot read tuning file {path}: {exc}"
-        ) from None
-    return validate_tuning(tuning)

@@ -64,6 +64,7 @@ disables coalescing entirely and every call scores synchronously.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -83,30 +84,6 @@ DEFAULT_MAX_BATCH_ROWS = 1024
 
 #: Recognised window policies.
 WINDOW_POLICIES = ("adaptive", "fixed")
-
-
-def check_batch_knobs(
-    window: Optional[float] = None,
-    max_rows: Optional[int] = None,
-    policy: Optional[str] = None,
-) -> None:
-    """The one check of the batching knobs (``None`` skips a knob).
-
-    Used by :class:`MicroBatcher` at construction and retune, and by
-    the tuning-file validator, so a value is judged the same way at
-    boot and on ``SIGHUP``.
-    """
-    if window is not None and float(window) < 0:
-        raise ConfigurationError(
-            f"batch window must be >= 0 seconds, got {window}"
-        )
-    if max_rows is not None and int(max_rows) < 1:
-        raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
-    if policy is not None and policy not in WINDOW_POLICIES:
-        raise ConfigurationError(
-            f"batch policy must be one of {WINDOW_POLICIES}, "
-            f"got {policy!r}"
-        )
 
 
 class BatchAbortedError(RuntimeError):
@@ -167,11 +144,6 @@ class AdaptiveWindowController:
             self._window = (
                 0.0 if shrunk < self.cap * self._COLLAPSE_BELOW else shrunk
             )
-
-    def reconfigure(self, cap: float, max_rows: int) -> None:
-        self.cap = float(cap)
-        self.max_rows = int(max_rows)
-        self._window = min(self._window, self.cap)
 
 
 class _Request:
@@ -259,9 +231,22 @@ class MicroBatcher:
         on_flush: Optional[Callable[[int, int], None]] = None,
         on_execute: Optional[Callable[[EngineProfile], None]] = None,
     ):
-        check_batch_knobs(window, max_rows, policy)
         window = float(window)
         max_rows = int(max_rows)
+        # Finite too: the leader hands the window to ``Event.wait``,
+        # which raises on ``inf`` and never times out on ``nan``.
+        if not 0 <= window < math.inf:
+            raise ConfigurationError(
+                f"batch window must be finite and >= 0 seconds, "
+                f"got {window}"
+            )
+        if max_rows < 1:
+            raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
+        if policy not in WINDOW_POLICIES:
+            raise ConfigurationError(
+                f"batch policy must be one of {WINDOW_POLICIES}, "
+                f"got {policy!r}"
+            )
         self._score_fn = score_fn
         self.window = window
         self.max_rows = max_rows
@@ -381,33 +366,6 @@ class MicroBatcher:
                 "batches_executed": self._batches_executed,
                 "largest_batch_requests": self._largest_batch,
                 "largest_batch_rows": self._largest_batch_rows,
-            }
-
-    def reconfigure(
-        self,
-        window: Optional[float] = None,
-        max_rows: Optional[int] = None,
-        policy: Optional[str] = None,
-    ) -> dict:
-        """Retune the batcher in place (the ``SIGHUP`` reload path).
-
-        In-flight batches finish under the settings they started with;
-        every batch formed after this call uses the new ones.  Returns
-        the applied knobs.
-        """
-        check_batch_knobs(window, max_rows, policy)
-        with self._lock:
-            if window is not None:
-                self.window = float(window)
-            if max_rows is not None:
-                self.max_rows = int(max_rows)
-            if policy is not None:
-                self.policy = policy
-            self._controller.reconfigure(self.window, self.max_rows)
-            return {
-                "policy": self.policy,
-                "window_ms": round(self.window * 1e3, 3),
-                "max_rows": self.max_rows,
             }
 
     # ------------------------------------------------------------------

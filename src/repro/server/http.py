@@ -70,6 +70,7 @@ or, from the shell::
 from __future__ import annotations
 
 import json
+import math
 import re
 import socket
 import threading
@@ -102,7 +103,6 @@ from repro.server.admission import (
     DEFAULT_RETRY_AFTER,
     AdmissionController,
     RequestShed,
-    validate_tuning,
 )
 from repro.server.batching import MicroBatcher
 from repro.server.metrics import ServerMetrics
@@ -135,12 +135,14 @@ def _validate_keepalive_timeout(keepalive_timeout) -> None:
     The handler installs the value as the socket timeout for the
     next-request read *and* as the whole-body deadline — with ``0`` the
     socket goes non-blocking (every read raises immediately) and any
-    non-trivial upload 408s on arrival.  Reject non-positive values at
-    construction instead of booting a daemon that fails every POST.
+    non-trivial upload 408s on arrival, and ``settimeout`` raises on
+    ``inf``, dropping every connection.  Reject non-positive and
+    non-finite values at construction instead of booting a daemon that
+    fails every request.
     """
-    if not float(keepalive_timeout) > 0:
+    if not 0 < float(keepalive_timeout) < math.inf:
         raise ConfigurationError(
-            f"keepalive_timeout must be > 0 seconds, got "
+            f"keepalive_timeout must be finite and > 0 seconds, got "
             f"{keepalive_timeout} (use a large value for an effectively "
             f"unbounded idle timeout)"
         )
@@ -271,7 +273,7 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         )
         # Every request scores through the batcher, which scores
         # synchronously while its window is 0.  ``batcher`` publishes it
-        # (``/metrics``, retuning) only once batching is on.
+        # to ``/metrics`` only when batching is on.
         self._batcher = MicroBatcher(
             lambda model, X: score_batch(
                 model, X, chunk_size=self.chunk_size, backend=self.backend
@@ -310,42 +312,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
 
     def _record_engine_profile(self, profile: EngineProfile) -> None:
         self.metrics.observe_engine(profile)
-
-    def apply_tuning(self, tuning: dict) -> dict:
-        """Retune batching/admission knobs in place (``SIGHUP`` path).
-
-        ``tuning`` is a validated mapping of :data:`TUNING_KEYS`
-        (see :func:`repro.server.admission.load_tuning_file`).  The
-        change is zero-downtime: in-flight requests finish under the
-        settings they started with, new ones see the new knobs, and no
-        socket or process is touched.  Returns the applied knobs.
-        """
-        tuning = validate_tuning(tuning)
-        applied: dict = {}
-        window = tuning.get("batch_window_ms")
-        max_rows = tuning.get("max_batch_rows")
-        policy = tuning.get("batch_policy")
-        if window is not None or max_rows is not None or policy is not None:
-            applied.update(
-                self._batcher.reconfigure(
-                    window=None if window is None else window / 1e3,
-                    max_rows=max_rows,
-                    policy=policy,
-                )
-            )
-            if self._batcher.window > 0:
-                # Batching off at boot goes live here; the batcher
-                # already scores every request, so publishing it is
-                # all there is to do.
-                self.batcher = self._batcher
-        admission_keys = {
-            "max_inflight": tuning.get("max_inflight"),
-            "max_inflight_per_model": tuning.get("max_inflight_per_model"),
-            "retry_after": tuning.get("retry_after_s"),
-        }
-        if any(value is not None for value in admission_keys.values()):
-            applied.update(self.admission.reconfigure(**admission_keys))
-        return applied
 
     @property
     def backend_name(self) -> str:

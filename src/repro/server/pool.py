@@ -36,10 +36,10 @@ Supervision and shutdown contract
   own requests, so after overwriting a model file the fleet converges
   worker by worker (same eventual-consistency window as one process —
   see ``docs/ops.md``).
-* ``SIGHUP`` to the parent is fanned out to every worker, which
-  re-reads the ``--tuning-file`` and retunes its batching/admission
-  knobs in place (:func:`install_tuning_reload`) — zero downtime, no
-  in-flight request dropped.
+* ``SIGHUP`` is ignored by the parent and, inherited across the
+  fork, by every worker.  Serving knobs are set once, at boot: every
+  worker, respawns included, serves the parent's boot flags, and
+  changing a knob means restarting the daemon.
 
 Each worker writes its metrics to its own slot of a shared
 memory-mapped counter file
@@ -59,7 +59,6 @@ import time
 from typing import Dict, List, Optional
 
 from repro.core.exceptions import ConfigurationError
-from repro.server.admission import load_tuning_file
 from repro.server.http import ScoringHTTPServer
 from repro.server.metrics import ServerMetrics, SharedMetricsStore
 
@@ -80,15 +79,14 @@ class WorkerPool:
     served a request: its constructor has already checked every
     serving knob and its registry holds the loaded models.  Each
     worker is a fork of it, so the workers share its listening socket
-    and inherit its models.  ``tuning_file`` is re-read on ``SIGHUP``;
-    ``drain_grace`` bounds a graceful stop before ``SIGKILL``.
+    and inherit its models.  ``drain_grace`` bounds a graceful stop
+    before ``SIGKILL``.
     """
 
     def __init__(
         self,
         server: ScoringHTTPServer,
         workers: int = 2,
-        tuning_file: Optional[str] = None,
         drain_grace: float = DEFAULT_DRAIN_GRACE,
     ):
         if int(workers) < 1:
@@ -101,7 +99,6 @@ class WorkerPool:
             )
         self.server = server
         self.workers = int(workers)
-        self.tuning_file = tuning_file
         self.drain_grace = float(drain_grace)
         self._metrics_dir: Optional[str] = None
         self._store: Optional[SharedMetricsStore] = None
@@ -142,13 +139,12 @@ class WorkerPool:
             # Handlers go in before the first fork so there is no
             # window in which a signal finds the default disposition
             # and kills the parent out from under its workers; each
-            # child sheds them again first thing (see _spawn).
+            # child sheds the stop handlers again first thing (see
+            # _spawn).  SIGHUP's default would do just that, so it is
+            # ignored here, and every worker inherits the SIG_IGN.
             signal.signal(signal.SIGTERM, self._request_stop)
             signal.signal(signal.SIGINT, self._request_stop)
-            if hasattr(signal, "SIGHUP"):
-                # Zero-downtime retune: fan the reload signal out so
-                # every worker re-reads the tuning file in place.
-                signal.signal(signal.SIGHUP, self._forward_reload)
+            signal.signal(signal.SIGHUP, signal.SIG_IGN)
             for slot in range(self.workers):
                 self._spawn(slot)
             rapid_deaths = 0
@@ -210,8 +206,6 @@ class WorkerPool:
         # that lands mid-fork is held until the new pid is recorded,
         # so _request_stop signals it too.
         held = [signal.SIGTERM, signal.SIGINT]
-        if hasattr(signal, "SIGHUP"):
-            held.append(signal.SIGHUP)
         signal.pthread_sigmask(signal.SIG_BLOCK, held)
         pid = -1
         try:
@@ -225,12 +219,6 @@ class WorkerPool:
                 _booting_exit = lambda signum, frame: os._exit(0)  # noqa: E731
                 signal.signal(signal.SIGTERM, _booting_exit)
                 signal.signal(signal.SIGINT, _booting_exit)
-                if hasattr(signal, "SIGHUP"):
-                    # A retune arriving before the real reload handler
-                    # is installed has nothing to retune yet; ignore it
-                    # (the operator's next SIGHUP lands on the whole
-                    # fleet).
-                    signal.signal(signal.SIGHUP, signal.SIG_IGN)
                 signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
                 self._worker_main(slot)  # never returns
                 os._exit(70)  # pragma: no cover - unreachable
@@ -249,14 +237,6 @@ class WorkerPool:
         finally:
             if pid != 0:
                 signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
-
-    def _forward_reload(self, signum, frame) -> None:
-        """Parent ``SIGHUP`` handler: fan the retune out to workers."""
-        for pid in list(self._pids):
-            try:
-                os.kill(pid, signal.SIGHUP)
-            except ProcessLookupError:
-                pass
 
     def _request_stop(self, signum, frame) -> None:
         """Parent signal handler: start the drain exactly once."""
@@ -299,7 +279,6 @@ class WorkerPool:
                 if tracer.mode != "off":
                     tracer.spill_dir = self._traces_dir
             install_graceful_shutdown(server)
-            install_tuning_reload(server, self.tuning_file)
             server.serve_forever(poll_interval=0.05)
             server.server_close()
             status = 0
@@ -340,41 +319,6 @@ def install_graceful_shutdown(server: ScoringHTTPServer) -> List[int]:
         except ValueError:  # pragma: no cover - non-main thread
             break
     return installed
-
-
-def install_tuning_reload(
-    server: ScoringHTTPServer, tuning_file: Optional[str]
-) -> bool:
-    """Re-apply the ``--tuning-file`` knobs on ``SIGHUP``.
-
-    Shared by pool workers and the single-process CLI path.  The
-    handler re-reads and validates the file, then retunes the live
-    server in place (``apply_tuning``) — no socket rebind, no process
-    restart, no in-flight request dropped.  A missing or invalid file
-    logs and changes nothing: a typo in a retune must never take a
-    healthy daemon down.  Returns whether a handler was installed.
-    """
-    if not hasattr(signal, "SIGHUP"):  # pragma: no cover - non-POSIX
-        return False
-
-    def _reload(signum, frame):
-        if tuning_file is None:
-            print(
-                "SIGHUP ignored: no --tuning-file to reload", flush=True
-            )
-            return
-        try:
-            applied = server.apply_tuning(load_tuning_file(tuning_file))
-        except Exception as exc:  # noqa: BLE001 - keep serving
-            print(f"tuning reload failed: {exc}", flush=True)
-            return
-        print(f"tuning reloaded from {tuning_file}: {applied}", flush=True)
-
-    try:
-        signal.signal(signal.SIGHUP, _reload)
-    except ValueError:  # pragma: no cover - non-main thread
-        return False
-    return True
 
 
 def _exit_code(raw_status: int) -> int:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import http.client
 import json
+import math
 import pathlib
 import socket
 import threading
@@ -153,9 +154,11 @@ class ShardCoordinator:
             raise ConfigurationError(
                 f"rows_per_block must be >= 1, got {rows_per_block}"
             )
-        if not float(timeout) > 0:
+        # Finite too: ``urlopen`` hands it to ``settimeout``, which
+        # raises ``OverflowError`` on ``inf``.
+        if not 0 < float(timeout) < math.inf:
             raise ConfigurationError(
-                f"timeout must be > 0 seconds, got {timeout}"
+                f"timeout must be finite and > 0 seconds, got {timeout}"
             )
         self.shard_urls = tuple(urls)
         self.model_name = str(model_name).strip()

@@ -1,9 +1,8 @@
-"""Admission control, tuning reload and shed-accounting units.
+"""Admission control and shed-accounting units.
 
-The daemon's overload story has three pieces — bounded admission with
-429 + ``Retry-After`` shedding (:mod:`repro.server.admission`), exact
-fleet-wide shed accounting through the shared metrics store, and
-zero-downtime ``SIGHUP`` retuning from a JSON tuning file.  This file
+The daemon's overload story has two pieces — bounded admission with
+429 + ``Retry-After`` shedding (:mod:`repro.server.admission`) and exact
+fleet-wide shed accounting through the shared metrics store.  This file
 unit-tests each piece without a live daemon in the way; the end-to-end
 overload behaviour (every request exactly 200 or 429 under offered
 load beyond capacity) lives in ``tests/test_server_load.py``.
@@ -11,7 +10,6 @@ load beyond capacity) lives in ``tests/test_server_load.py``.
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
@@ -24,8 +22,6 @@ from repro.server import (
     ScoringHTTPServer,
     ServerMetrics,
     SharedMetricsStore,
-    load_tuning_file,
-    validate_tuning,
 )
 
 SCORE_ENDPOINT = "POST /v1/models/{name}/score"
@@ -84,31 +80,14 @@ class TestAdmissionController:
         assert AdmissionController(retry_after=2.5).retry_after_header() == "3"
         assert AdmissionController(retry_after=7).retry_after_header() == "7"
 
-    def test_reconfigure_in_place_and_validation(self):
-        ctl = AdmissionController(max_inflight=4)
-        applied = ctl.reconfigure(max_inflight=1, retry_after=9.0)
-        assert applied == {
-            "max_inflight": 1,
-            "max_inflight_per_model": 0,
-            "retry_after_s": 9.0,
-        }
-        ctl.acquire("m")
-        with pytest.raises(RequestShed):
-            ctl.acquire("m")
-        with pytest.raises(ConfigurationError, match="max_inflight"):
-            ctl.reconfigure(max_inflight=-1)
-        with pytest.raises(ConfigurationError, match="retry_after"):
-            ctl.reconfigure(retry_after=0)
-        # Failed reconfigure must not have applied anything.
-        assert ctl.stats()["max_inflight"] == 1
-
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError, match="max_inflight"):
             AdmissionController(max_inflight=-1)
         with pytest.raises(ConfigurationError, match="per_model"):
             AdmissionController(max_inflight_per_model=-2)
-        with pytest.raises(ConfigurationError, match="retry_after"):
-            AdmissionController(retry_after=0.0)
+        for bad in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="retry_after"):
+                AdmissionController(retry_after=bad)
 
     def test_thread_safety_of_the_admission_gate(self):
         # 32 threads race 400 acquire/release pairs through a bound of
@@ -138,91 +117,6 @@ class TestAdmissionController:
         stats = ctl.stats()
         assert stats["inflight"] == 0
         assert stats["admitted_total"] + stats["shed_total"] == 32 * 400
-
-
-class TestTuningValidation:
-    def test_accepts_every_documented_knob(self):
-        tuning = {
-            "batch_window_ms": 4.0,
-            "max_batch_rows": 256,
-            "batch_policy": "fixed",
-            "max_inflight": 16,
-            "max_inflight_per_model": 4,
-            "retry_after_s": 2.0,
-        }
-        assert validate_tuning(tuning) == tuning
-        assert validate_tuning({}) == {}
-
-    def test_rejects_unknown_keys_and_bad_values(self):
-        with pytest.raises(ConfigurationError, match="unknown tuning"):
-            validate_tuning({"workers": 4})
-        with pytest.raises(ConfigurationError, match="batch_window_ms"):
-            validate_tuning({"batch_window_ms": -1})
-        with pytest.raises(ConfigurationError, match="max_batch_rows"):
-            validate_tuning({"max_batch_rows": 0})
-        with pytest.raises(ConfigurationError, match="batch_policy"):
-            validate_tuning({"batch_policy": "psychic"})
-        with pytest.raises(ConfigurationError, match="retry_after"):
-            validate_tuning({"retry_after_s": 0})
-        with pytest.raises(ConfigurationError, match="JSON object"):
-            validate_tuning([1, 2, 3])
-
-    def test_load_tuning_file(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        path.write_text(json.dumps({"max_inflight": 3}))
-        assert load_tuning_file(path) == {"max_inflight": 3}
-        with pytest.raises(ConfigurationError, match="cannot read"):
-            load_tuning_file(tmp_path / "missing.json")
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="cannot read"):
-            load_tuning_file(path)
-
-
-@pytest.fixture()
-def quiet_server():
-    server = ScoringHTTPServer(
-        ("127.0.0.1", 0),
-        ModelRegistry(),
-        batch_window=0.0,
-        max_inflight=8,
-    )
-    yield server
-    server.server_close()
-
-
-class TestApplyTuning:
-    def test_retunes_admission_in_place(self, quiet_server):
-        applied = quiet_server.apply_tuning(
-            {"max_inflight": 2, "retry_after_s": 5.0}
-        )
-        assert applied["max_inflight"] == 2
-        assert applied["retry_after_s"] == 5.0
-        assert quiet_server.admission.max_inflight == 2
-        assert quiet_server.admission.retry_after_header() == "5"
-
-    def test_enables_batching_live(self, quiet_server):
-        assert quiet_server.batcher is None
-        applied = quiet_server.apply_tuning(
-            {"batch_window_ms": 4.0, "max_batch_rows": 64}
-        )
-        assert quiet_server.batcher is not None
-        assert applied["window_ms"] == 4.0
-        assert applied["max_rows"] == 64
-        assert quiet_server.batcher.stats()["policy"] == "adaptive"
-        # Retune the now-live batcher, switching policy too.
-        applied = quiet_server.apply_tuning(
-            {"batch_window_ms": 8.0, "batch_policy": "fixed"}
-        )
-        assert applied["window_ms"] == 8.0
-        assert quiet_server.batcher.stats()["policy"] == "fixed"
-
-    def test_invalid_tuning_changes_nothing(self, quiet_server):
-        before = quiet_server.admission.stats()
-        with pytest.raises(ConfigurationError):
-            quiet_server.apply_tuning({"max_inflight": -3})
-        with pytest.raises(ConfigurationError):
-            quiet_server.apply_tuning({"nonsense": 1})
-        assert quiet_server.admission.stats() == before
 
 
 class TestKeepaliveValidation:
@@ -340,7 +234,6 @@ class TestServeCLIFlags:
                 "--max-inflight-per-model", "4",
                 "--retry-after", "2.5",
                 "--keepalive-timeout", "45",
-                "--tuning-file", "/tmp/tuning.json",
             ]
         )
         assert args.batch_policy == "fixed"
@@ -348,7 +241,6 @@ class TestServeCLIFlags:
         assert args.max_inflight_per_model == 4
         assert args.retry_after == 2.5
         assert args.keepalive_timeout == 45.0
-        assert args.tuning_file == "/tmp/tuning.json"
 
     def test_parser_defaults(self):
         from repro.cli import build_parser
@@ -361,4 +253,12 @@ class TestServeCLIFlags:
         assert args.max_inflight_per_model == 0
         assert args.retry_after is None  # -> server default
         assert args.keepalive_timeout == 30.0
-        assert args.tuning_file is None
+
+    def test_tuning_file_flag_exits_2(self, capsys):
+        # Knobs are boot flags; no file of knobs is read.
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--model", "m=/tmp/m.json", "--tuning-file", "x"])
+        assert exit_info.value.code == 2
+        assert "--tuning-file" in capsys.readouterr().err

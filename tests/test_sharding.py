@@ -429,8 +429,9 @@ class TestCoordinator:
             ShardCoordinator(["http://a:1"], "  ")
         with pytest.raises(ConfigurationError):
             ShardCoordinator(["http://a:1"], "demo", rows_per_block=0)
-        with pytest.raises(ConfigurationError):
-            ShardCoordinator(["http://a:1"], "demo", timeout=0)
+        for bad in (0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="timeout"):
+                ShardCoordinator(["http://a:1"], "demo", timeout=bad)
         with pytest.raises(ConfigurationError):
             ShardCoordinator(["http://a:1"], "demo").rank_csv(
                 "x.csv", head=-1
