@@ -28,6 +28,7 @@ import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -48,6 +49,8 @@ ALPHA = np.array([1.0, 1.0, -1.0])
 N_CLIENTS = 8
 PER_CLIENT_HTTP = 50
 PER_CLIENT_DIRECT = 60
+#: Interleaved direct/batched rounds of the micro-batcher gate.
+ROUNDS = 5
 
 
 @pytest.fixture(scope="module")
@@ -97,19 +100,26 @@ def test_micro_batcher_amortizes_engine_dispatch(saved_model, benchmark):
     rng = np.random.default_rng(0)
     rows = [rng.uniform(0.0, 1.0, size=(1, 3)) for _ in range(N_CLIENTS)]
 
-    rps_direct = _hammer(
-        lambda slot: score_batch(model, rows[slot]),
-        N_CLIENTS,
-        PER_CLIENT_DIRECT,
-    )
     # policy="fixed" pins the PR 5 behaviour this table has always
     # measured; the adaptive-vs-fixed comparison is its own benchmark.
     batcher = MicroBatcher(score_batch, window=0.002, policy="fixed")
-    rps_batched = _hammer(
-        lambda slot: batcher.score(model, rows[slot]),
-        N_CLIENTS,
-        PER_CLIENT_DIRECT,
-    )
+    # One wall-clock pair is at the mercy of whatever else the box is
+    # doing; interleaved rounds see the same load, and their medians
+    # decide the gate.
+    direct, batched = [], []
+    for _ in range(ROUNDS):
+        direct.append(_hammer(
+            lambda slot: score_batch(model, rows[slot]),
+            N_CLIENTS,
+            PER_CLIENT_DIRECT,
+        ))
+        batched.append(_hammer(
+            lambda slot: batcher.score(model, rows[slot]),
+            N_CLIENTS,
+            PER_CLIENT_DIRECT,
+        ))
+    rps_direct = statistics.median(direct)
+    rps_batched = statistics.median(batched)
     benchmark(lambda: score_batch(model, rows[0]))
     stats = batcher.stats()
     # Sanity: the speedup must come from actual coalescing, and the
@@ -124,7 +134,7 @@ def test_micro_batcher_amortizes_engine_dispatch(saved_model, benchmark):
             [
                 [
                     f"direct score_batch ({N_CLIENTS} threads, 1-row "
-                    f"calls)",
+                    f"calls; median of {ROUNDS} rounds)",
                     f"{rps_direct:.0f}",
                     "1.00x",
                 ],

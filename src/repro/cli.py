@@ -38,8 +38,7 @@ never materialises.  ``serve`` keeps any number of saved models
 resident behind an HTTP daemon (see :mod:`repro.server`) instead of
 paying a process start per scoring run; its concurrency comes from
 ``--workers`` processes and ``--batch-window-ms`` micro-batching.
-Scoring itself is one float64 path on one thread; ``--backend`` only
-picks how the exact stationary roots are found.
+Scoring itself is one float64 path on one thread.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from typing import Optional, Sequence
 from repro.core.exceptions import ConfigurationError, ReproError
 from repro.core.rpc import RankingPrincipalCurve
 from repro.data.loaders import load_csv, parse_alpha_spec, save_ranking_csv
-from repro.linalg.backend import BACKEND_CHOICES
 from repro.families import build_model, family_names
 from repro.serving.persistence import check_model_path, load_model, save_model
 from repro.serving.stream import (
@@ -189,15 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="rows buffered in memory before the external sort spills "
         "a sorted run to disk (default 1000000; not with --top-k)",
-    )
-    score.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="stationary-root solver: 'auto' (default) is "
-        "'closed-form', which solves the stationary polynomials "
-        "analytically; 'numpy' is the eigenvalue reference (see "
-        "docs/performance.md)",
     )
 
     serve = sub.add_parser(
@@ -344,15 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="append one JSON line per request (request id, stage "
         "timings, batch id) to PATH; '-' logs to stderr",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="stationary-root solver for every scoring request: "
-        "'auto' (default) is 'closed-form', which solves the "
-        "stationary polynomials analytically; 'numpy' is the "
-        "eigenvalue reference (see docs/performance.md)",
     )
 
     shard = sub.add_parser(
@@ -605,7 +585,6 @@ def _run_score(args: argparse.Namespace) -> int:
             args.top_k,
             chunk_size=args.chunk_size,
             label_column=args.label_column,
-            backend=args.backend,
         )
         print(
             f"scored {n_rows} objects with saved model {args.model_path} "
@@ -632,7 +611,6 @@ def _run_score(args: argparse.Namespace) -> int:
         args.output,
         chunk_size=args.chunk_size,
         label_column=args.label_column,
-        backend=args.backend,
         memory_budget_rows=args.memory_budget_rows,
         head=max(args.top, 0),
     )
@@ -720,7 +698,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             else args.retry_after
         ),
         keepalive_timeout=args.keepalive_timeout,
-        backend=args.backend,
         tracer=tracer,
     )
     pool, fleet = None, ""

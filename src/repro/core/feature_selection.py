@@ -108,7 +108,6 @@ def attribute_importances(
     alpha: np.ndarray,
     attribute_names: Optional[Sequence[str]] = None,
     random_state: int = 0,
-    n_restarts: int = 1,
 ) -> list[AttributeImportance]:
     """Score every attribute's contribution to the RPC ranking.
 
@@ -123,8 +122,9 @@ def attribute_importances(
     random_state:
         Seed shared by the full fit and every leave-one-out refit so
         differences reflect the data, not the initialisation.
-    n_restarts:
-        Restarts per fit (1 keeps the sweep fast; raise for precision).
+
+    Every fit starts from the deterministic ``init="linear"`` curve,
+    so one start per fit is all a restart budget could buy.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 2:
@@ -143,7 +143,7 @@ def attribute_importances(
     model = RankingPrincipalCurve(
         alpha=alpha,
         random_state=random_state,
-        n_restarts=n_restarts,
+        n_restarts=1,
         init="linear",
     )
     with warnings.catch_warnings():
@@ -169,7 +169,7 @@ def attribute_importances(
             X[:, keep],
             alpha[keep],
             random_state=random_state,
-            n_restarts=n_restarts,
+            n_restarts=1,
             init="linear",
         )
         tau = kendall_tau(full_scores, reduced_scores)

@@ -15,9 +15,8 @@ family must satisfy to flow through those layers instead:
     The scoring surface.  ``score_samples`` is the exact per-row scorer
     (rank-compatible: higher score = better object, the convention
     every ranking list in this repo is built on); ``score_batch`` is
-    the bounded-memory serving entry point with the
-    ``chunk_size``/``backend`` signature the daemon calls.  Families
-    without engine backends accept and ignore ``backend``.
+    the bounded-memory serving entry point with the ``chunk_size``
+    signature the daemon calls.
 
 ``to_payload()`` / ``from_payload(payload)``
     Exact persistence.  ``to_payload`` returns a JSON-serialisable dict
@@ -35,12 +34,6 @@ family must satisfy to flow through those layers instead:
     (a row's score is its position among the rows it arrived with), so
     they set it ``False`` and the serving layers neither chunk nor
     coalesce them.
-
-``accepts_solver_kwargs``
-    ``True`` only for families whose ``score_samples`` takes the
-    projection-engine ``backend=`` keyword (the Bézier curve).  The batch scorer uses this to keep the Bézier hot path
-    byte-identical while calling every other family with the plain
-    one-argument signature.
 """
 
 from __future__ import annotations
@@ -83,7 +76,6 @@ class ScorableModel(Protocol):
         self,
         X: np.ndarray,
         chunk_size: Optional[int] = None,
-        backend: Any = None,
     ) -> np.ndarray: ...
 
     @property

@@ -16,8 +16,9 @@ are provided, matching the options discussed in Section 5:
   paper's solver, robust to the up-to-three local minima of the
   distance function; kept for the Section 5 ablation and for saved
   models, which record the solver they were fitted with);
-* ``"roots"`` — exact stationary-point enumeration via companion-matrix
-  root finding (the Jenkins–Traub-style alternative).
+* ``"roots"`` — exact stationary-point enumeration (the
+  Jenkins–Traub-style alternative), with the stationary roots found in
+  closed form (:mod:`repro.linalg.closedform`).
 
 Newton and GSS search the same grid bracket and end on the same
 stationary point (GSS finishes with a few clamped Newton steps that
@@ -105,7 +106,6 @@ def project_points(
     tol: float = 1e-10,
     s0: Optional[np.ndarray] = None,
     engine: Optional[ProjectionEngine] = None,
-    backend=None,
 ) -> np.ndarray:
     """Compute projection scores for every row of ``X``.
 
@@ -140,11 +140,6 @@ def project_points(
         conversion, self-product coefficients) is paid once.  An engine
         built for a *different* curve is ignored and rebuilt — passing
         a stale engine can never change the scores.
-    backend:
-        Optional root-solver backend (name or
-        :class:`~repro.linalg.backend.KernelBackend` instance) for this
-        batch; ``None`` keeps the engine's default (the numpy
-        reference).  See :mod:`repro.linalg.backend`.
 
     Returns
     -------
@@ -157,11 +152,11 @@ def project_points(
     X = np.asarray(X, dtype=float)
     if engine is None or engine.curve is not curve:
         engine = ProjectionEngine(curve)
-    compiled = engine.compile(X, backend=backend)
+    compiled = engine.compile(X)
     if s0 is not None and method != "roots":
         return _project_warm(
             curve, X, s0, method=method, n_grid=n_grid, tol=tol,
-            engine=engine, compiled=compiled, backend=backend,
+            engine=engine, compiled=compiled,
         )
     return compiled.project(method, n_grid=n_grid, tol=tol)
 
@@ -175,7 +170,6 @@ def _project_warm(
     tol: float,
     engine: ProjectionEngine,
     compiled: CompiledProjection,
-    backend=None,
 ) -> np.ndarray:
     """Warm-started projection: narrow brackets around ``s0`` + safeguard.
 
@@ -224,7 +218,7 @@ def _project_warm(
     if np.any(escaped):
         s_cold = project_points(
             curve, X[escaped], method=method, n_grid=n_grid, tol=tol,
-            engine=engine, backend=backend,
+            engine=engine,
         )
         d_cold = compiled[escaped].distance(s_cold)
         better = d_cold < d_warm[escaped]

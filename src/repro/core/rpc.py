@@ -47,6 +47,7 @@ from repro.geometry.bezier import BezierCurve
 from repro.geometry.cubic import validate_direction_vector
 from repro.geometry.engine import ProjectionEngine
 from repro.geometry.monotonicity import check_rpc_constraints
+from repro.linalg.backend import resolve_backend
 
 
 class RankingPrincipalCurve:
@@ -113,9 +114,6 @@ class RankingPrincipalCurve:
     #: A row's score depends only on that row — chunking and
     #: micro-batch coalescing are exact.
     pointwise_scores = True
-    #: ``score_samples`` accepts the engine ``backend=`` keyword (the
-    #: only family that does).
-    accepts_solver_kwargs = True
 
     def __init__(
         self,
@@ -267,10 +265,11 @@ class RankingPrincipalCurve:
         reference corners stay fixed) and projected onto the learned
         curve; the projection index is the score.
 
-        ``backend`` selects the root-solver backend for this call
-        (``None`` = the byte-stable numpy reference; see
-        :mod:`repro.linalg.backend`).
+        ``backend`` is checked by
+        :func:`~repro.linalg.backend.resolve_backend` and otherwise
+        ignored: ``"roots"`` has one stationary-root solver.
         """
+        resolve_backend(backend)
         result = self._require_fit()
         X = self._validate(X)
         assert self._normalizer is not None
@@ -281,27 +280,24 @@ class RankingPrincipalCurve:
             method=self.projection,
             n_grid=self.n_grid,
             engine=self._projection_engine(result.curve),
-            backend=backend,
         )
 
     def score_batch(
         self,
         X: np.ndarray,
         chunk_size: Optional[int] = None,
-        backend=None,
     ) -> np.ndarray:
         """Chunked, bounded-memory scoring of arbitrarily large inputs.
 
         Equivalent to :meth:`score_samples` but processes ``X`` in
         chunks of ``chunk_size`` rows so peak memory stays bounded by
         the chunk (the projection step materialises an
-        ``(n, n_grid)`` distance matrix).  ``backend`` as in
-        :meth:`score_samples`.  See
+        ``(n, n_grid)`` distance matrix).  See
         :func:`repro.serving.batch.score_batch` for details.
         """
         from repro.serving.batch import score_batch as _score_batch
 
-        return _score_batch(self, X, chunk_size=chunk_size, backend=backend)
+        return _score_batch(self, X, chunk_size=chunk_size)
 
     def rank(
         self, X: np.ndarray, labels: Optional[Sequence[str]] = None

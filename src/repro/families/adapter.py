@@ -93,20 +93,14 @@ class ModelAdapter:
         self,
         X: np.ndarray,
         chunk_size: Optional[int] = None,
-        backend: Any = None,
     ) -> np.ndarray:
-        """Serving entry point with the daemon's uniform signature.
-
-        ``backend`` selects the projection engine's root solver, which
-        only the Bézier family has; it is accepted (so callers need no
-        per-family branches) and ignored here.
-        """
+        """Serving entry point with the daemon's uniform signature."""
         # Imported lazily: repro.serving's persistence module imports
         # repro.families for payload dispatch, so a module-level import
         # here would be circular.
         from repro.serving.batch import score_batch
 
-        return score_batch(self, X, chunk_size=chunk_size, backend=backend)
+        return score_batch(self, X, chunk_size=chunk_size)
 
     # ------------------------------------------------------------------
     # State hooks

@@ -41,9 +41,10 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.linalg.backend import KernelBackend, resolve_backend
+from repro.linalg.closedform import closed_form_stationary_roots
 from repro.linalg.golden_section import golden_section_search_batch
 from repro.linalg.horner import horner_batch, horner_pointwise
+from repro.linalg.polyroots import batched_minimize_on_interval
 from repro.obs.engineprof import current as _active_profile
 
 
@@ -109,21 +110,15 @@ class ProjectionEngine:
     the serving paths hold exactly one per fitted model.
     """
 
-    def __init__(self, curve, backend=None):
+    def __init__(self, curve):
         self._curve = curve
         self._C = curve.power_coefficients()  # (d, k + 1)
         self._ff = curve_self_product_coefficients(self._C)
-        self._backend = resolve_backend(backend)
 
     @property
     def curve(self):
         """The curve this engine was compiled from."""
         return self._curve
-
-    @property
-    def backend(self) -> KernelBackend:
-        """The root-solver backend compilations default to."""
-        return self._backend
 
     @property
     def degree(self) -> int:
@@ -133,28 +128,20 @@ class ProjectionEngine:
     def dimension(self) -> int:
         return self._C.shape[0]
 
-    def compile(self, X: np.ndarray, backend=None) -> "CompiledProjection":
-        """Bind a data batch, returning its compiled distance polynomials.
-
-        ``backend`` overrides the engine default per compilation — the
-        backend is a property of a *batch*, not the curve, so the
-        per-model engine cache stays valid whatever mix of requests it
-        serves.
-        """
+    def compile(self, X: np.ndarray) -> "CompiledProjection":
+        """Bind a data batch, returning its compiled distance polynomials."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise ConfigurationError(
                 f"X must have shape (n, {self.dimension}), got {X.shape}"
             )
-        backend = self._backend if backend is None else resolve_backend(backend)
         prof = _active_profile()
         if prof is not None:
-            prof.count(f"backend_{backend.name.replace('-', '_')}_compiles")
+            prof.count("engine_compiles")
         return CompiledProjection(
             squared_distance_coefficients(self._C, X, ff=self._ff),
             X=X,
             C=self._C,
-            backend=backend,
         )
 
 
@@ -171,9 +158,7 @@ class CompiledProjection:
         coeffs: np.ndarray,
         X: np.ndarray = None,
         C: np.ndarray = None,
-        backend=None,
     ):
-        self._backend = resolve_backend(backend)
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         self.coeffs = coeffs
         m = coeffs.shape[1]
@@ -195,11 +180,6 @@ class CompiledProjection:
             np.sum(X**2, axis=1) if X is not None and C is not None else None
         )
 
-    @property
-    def backend(self) -> KernelBackend:
-        """The root-solver backend this compilation runs on."""
-        return self._backend
-
     def __len__(self) -> int:
         return self.coeffs.shape[0]
 
@@ -209,7 +189,6 @@ class CompiledProjection:
             self.coeffs[rows],
             X=self._X[rows] if self._X is not None else None,
             C=self._C,
-            backend=self._backend,
         )
 
     # ------------------------------------------------------------------
@@ -417,12 +396,15 @@ class CompiledProjection:
     def minimize_exact(self, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """The ``"roots"`` path: exact stationary-point enumeration.
 
-        Dispatches to the backend's stationary solver (stacked-eigvals
-        reference or the closed-form/isolation path).
+        Stationary roots come from the analytic closed forms plus
+        monotone-interval isolation (:mod:`repro.linalg.closedform`);
+        the stacked-eigvals minimiser they replace is the test oracle.
         """
         prof = _active_profile()
         t0 = time.perf_counter() if prof is not None else 0.0
-        result = self._backend.minimize_stationary(self.coeffs, lo, hi)
+        result = batched_minimize_on_interval(
+            self.coeffs, lo, hi, root_solver=closed_form_stationary_roots
+        )
         if prof is not None:
             prof.add_phase(
                 "roots", time.perf_counter() - t0, rows=len(self)

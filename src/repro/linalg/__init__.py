@@ -11,7 +11,10 @@ model:
 * :mod:`repro.linalg.horner` — the batched Horner kernels every
   projection-engine solver evaluates its compiled polynomials with.
 * :mod:`repro.linalg.polyroots` — companion-matrix real-root finding
-  for the quintic first-order condition Eq.(20).
+  for the quintic first-order condition Eq.(20); the oracle of the
+  ``"roots"`` projection.
+* :mod:`repro.linalg.closedform` — the closed-form stationary roots
+  the ``"roots"`` projection runs on.
 * :mod:`repro.linalg.pseudoinverse` — the closed-form ``P = X (MZ)^+``
   update of Eq.(26) with conditioning diagnostics.
 """

@@ -8,18 +8,17 @@ using the companion-matrix eigenvalue method (the same approach used by
 ``numpy.roots``) followed by a couple of Newton polishing steps, plus
 helpers to keep only real roots inside a bracket.
 
-These routines power the ``projection="roots"`` solver option of the
-RPC model, which serves both as a correctness oracle for Golden Section
-Search in tests and as an ablation axis in the benchmarks.
+The stacked-eigvals minimiser is the test oracle of the
+``projection="roots"`` solver option of the RPC model, whose runtime
+path plugs the closed-form roots of :mod:`repro.linalg.closedform`
+into :func:`batched_minimize_on_interval` as its ``root_solver``.
 
 Two tiers are provided.  The scalar tier (:func:`real_roots`,
 :func:`minimize_polynomial_on_interval`) handles one polynomial at a
 time and is kept as the reference implementation.  The batched tier
 (:func:`batched_real_roots`, :func:`batched_minimize_on_interval`)
 solves ``n`` same-degree polynomials with **one** stacked
-companion-matrix ``eigvals`` call instead of a Python loop — this is
-what makes ``projection="roots"`` viable as a serving-path solver on
-large batches.
+companion-matrix ``eigvals`` call instead of a Python loop.
 """
 
 from __future__ import annotations
@@ -297,9 +296,9 @@ def batched_minimize_on_interval(
         ``root_solver(deriv, lo, hi) -> (roots, valid, fallback)`` with
         the same return convention.  This keeps candidate clipping,
         Newton polish and the final argmin byte-for-byte shared between
-        the eigvals reference and alternative backends (e.g. the
-        closed-form solver in :mod:`repro.linalg.closedform`), so
-        backend agreement is structural rather than accidental.
+        the eigvals oracle and the closed-form solver of
+        :mod:`repro.linalg.closedform` (the runtime ``"roots"`` path),
+        so their agreement is structural rather than accidental.
 
     Returns
     -------

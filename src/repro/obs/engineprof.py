@@ -30,7 +30,7 @@ from typing import Dict, Optional
 #: Engine phases, in pipeline order.  ``grid_scan`` is the coarse
 #: bracketing scan, ``gss`` the batched golden-section solve,
 #: ``newton`` covers warm-start refinement and final polish, and
-#: ``roots`` the exact companion-matrix path.
+#: ``roots`` the exact closed-form stationary-root path.
 ENGINE_PHASES = ("grid_scan", "gss", "newton", "roots")
 
 _ACTIVE: contextvars.ContextVar[Optional["EngineProfile"]] = (

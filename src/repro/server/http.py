@@ -7,8 +7,8 @@ models resident behind a long-running
 connection, models shared through a :class:`ModelRegistry`, large
 bodies dispatched through chunked :func:`score_batch`.  Any registered
 model family (:mod:`repro.families`) serves through the same
-endpoints; the projection-engine ``backend`` knob and the ``engine``
-metrics block apply to the Bézier ``rpc`` family only.
+endpoints; the ``engine`` metrics block applies to the Bézier ``rpc``
+family only.
 No third-party dependencies.
 
 Endpoints
@@ -88,7 +88,6 @@ from repro.core.exceptions import (
     NotFittedError,
 )
 from repro.core.scoring import build_ranking_list
-from repro.linalg.backend import resolve_backend
 from repro.obs import engineprof
 from repro.obs.engineprof import EngineProfile
 from repro.obs.histogram import (
@@ -249,7 +248,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         retry_after: float = DEFAULT_RETRY_AFTER,
         keepalive_timeout: float = 30.0,
         listen_backlog: int = 128,
-        backend=None,
         tracer: Optional[Tracer] = None,
     ):
         # Fail fast on misconfiguration: a daemon that boots "healthy"
@@ -257,11 +255,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         # operator mistake.  Validate before binding the socket.
         _validate_chunk_size(chunk_size)
         _validate_keepalive_timeout(keepalive_timeout)
-        # Resolve the kernel backend at boot: an unknown backend name
-        # must fail the boot, not 500 the first request.
-        self.backend = (
-            None if backend is None else resolve_backend(backend)
-        )
         if int(listen_backlog) < 1:
             raise ConfigurationError(
                 f"listen_backlog must be >= 1, got {listen_backlog}"
@@ -276,7 +269,7 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         # to ``/metrics`` only when batching is on.
         self._batcher = MicroBatcher(
             lambda model, X: score_batch(
-                model, X, chunk_size=self.chunk_size, backend=self.backend
+                model, X, chunk_size=self.chunk_size
             ),
             window=batch_window,
             policy=batch_policy,
@@ -312,15 +305,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
 
     def _record_engine_profile(self, profile: EngineProfile) -> None:
         self.metrics.observe_engine(profile)
-
-    @property
-    def backend_name(self) -> str:
-        """Canonical name of the active kernel backend.
-
-        ``None`` (no explicit choice) means every request scores
-        through the library-default numpy reference backend.
-        """
-        return "numpy" if self.backend is None else self.backend.name
 
     @property
     def is_draining(self) -> bool:
@@ -577,7 +561,6 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         misses = cells["warm_start_misses"]
         if hits or misses:
             out["warm_start_hit_rate"] = round(hits / (hits + misses), 4)
-        out["backend"] = self.server.backend_name
         return out
 
     def _latency_histograms_json(self) -> dict:
@@ -633,25 +616,16 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         return 200, {"trace": payload}, 0
 
     def _get_models(self) -> Tuple[int, dict, int]:
-        # Every model is served through the same daemon-wide backend
-        # (chosen at boot), so the per-entry key is uniform — it exists
-        # so clients scoring against one model do not need a second
-        # round-trip to /metrics to learn it.
-        models = self.server.registry.describe()
-        for entry in models:
-            entry["backend"] = self.server.backend_name
-        return 200, {"models": models}, 0
+        return 200, {"models": self.server.registry.describe()}, 0
 
     def _get_model_info(self, name: str) -> Tuple[int, dict, int]:
-        # Same per-entry shape as the /v1/models listing (including the
-        # daemon-wide backend key), but resolved through
-        # the registry's hot-reload path so the answer reflects the
+        # Same per-entry shape as the /v1/models listing, but resolved
+        # through the registry's hot-reload path so the answer reflects the
         # model that the next scoring request would actually use.
         try:
             entry = self.server.registry.describe_one(name)
         except UnknownModelError as exc:
             raise _RequestError(404, str(exc)) from None
-        entry["backend"] = self.server.backend_name
         return 200, entry, 0
 
     def _post_model(self, name: str, action: str) -> Tuple[int, dict, int]:
@@ -1115,15 +1089,6 @@ def _prometheus_exposition(server: ScoringHTTPServer) -> str:
         family = MetricFamily(name, "counter", help_text)
         family.add_sample(float(engine.get(key, 0)))
         families.append(family)
-
-    engine_info = MetricFamily(
-        "repro_engine_info",
-        "gauge",
-        "Constant 1; the label carries the active kernel backend of "
-        "this daemon.",
-    )
-    engine_info.add_sample(1.0, {"backend": server.backend_name})
-    families.append(engine_info)
 
     by_family = MetricFamily(
         "repro_requests_by_family_total",

@@ -83,8 +83,8 @@ SHARED_STATUSES = (200, 400, 404, 405, 408, 409, 411, 413, 422, 429, 500)
 SHED_STATUS = 429
 
 #: Engine-profile cells per slot, in layout order: wall time and rows
-#: per solver phase, the solver-quality counters, the kernel-backend
-#: compile counters, then the number of engine executions.  All but
+#: per solver phase, the solver-quality counters, the engine compile
+#: counter, then the number of engine executions.  All but
 #: ``scoring_calls`` match keys of
 #: :meth:`repro.obs.engineprof.EngineProfile.totals`.
 ENGINE_CELL_KEYS = (
@@ -99,8 +99,7 @@ ENGINE_CELL_KEYS = (
     "newton_iterations",
     "warm_start_hits",
     "warm_start_misses",
-    "backend_numpy_compiles",
-    "backend_closed_form_compiles",
+    "engine_compiles",
     "scoring_calls",
 )
 
@@ -108,13 +107,14 @@ ENGINE_CELL_KEYS = (
 #: rings with the fixed histogram buckets of :mod:`repro.obs.histogram`
 #: and added the engine/batch-fill cells; version 3 added the
 #: ``rank-shard`` endpoint label; version 4 added the
-#: ``GET /v1/models/{name}`` label, the backend compile counters and
-#: ``scoring_calls``.  Bump on any cell-layout change: every process
-#: mapping one file must agree on what each cell means (the pool forks
-#: workers from one parent, so in practice versions only meet across
-#: *code* versions — which is exactly the accident this constant is
-#: pinned against).
-STORE_FORMAT_VERSION = 4
+#: ``GET /v1/models/{name}`` label, two per-solver compile counters
+#: and ``scoring_calls``; version 5 merged those compile counters into
+#: ``engine_compiles``.  Bump on any cell-layout change:
+#: every process mapping one file must agree on what each cell means
+#: (the pool forks workers from one parent, so in practice versions
+#: only meet across *code* versions — which is exactly the accident
+#: this constant is pinned against).
+STORE_FORMAT_VERSION = 5
 
 
 class ServerMetrics:

@@ -66,27 +66,10 @@ def _validate_chunk_size(chunk_size: Optional[int]) -> int:
     return chunk_size
 
 
-def _chunk_scorer(model, backend):
-    """Per-chunk scoring callable for ``model``.
-
-    Only the Bézier family takes the engine ``backend=`` keyword
-    (``model.accepts_solver_kwargs``); every other family is called
-    with the plain one-argument signature, which keeps the Bézier hot
-    path byte-identical while letting any ScorableModel flow through
-    the same chunk loop.
-    """
-    if getattr(model, "accepts_solver_kwargs", False):
-        return lambda chunk: model.score_samples(chunk, backend=backend)
-    return lambda chunk: np.asarray(
-        model.score_samples(chunk), dtype=float
-    )
-
-
 def iter_score_chunks(
     model: ScorableModel,
     X: np.ndarray,
     chunk_size: Optional[int] = None,
-    backend=None,
 ) -> Iterator[Tuple[int, int, np.ndarray]]:
     """Yield ``(start, stop, scores)`` triples over chunks of ``X``.
 
@@ -104,11 +87,6 @@ def iter_score_chunks(
         Rows per chunk; ``None`` uses :data:`DEFAULT_CHUNK_SIZE`.
         Batch-relative families (``model.pointwise_scores`` false)
         ignore it and yield one chunk covering all of ``X``.
-    backend:
-        Optional root-solver backend, resolved and validated up front
-        (before any chunk is scored) and applied to every chunk; see
-        :mod:`repro.linalg.backend`.  Ignored by families without
-        engine backends.
 
     Yields
     ------
@@ -116,15 +94,14 @@ def iter_score_chunks(
     covering rows ``X[start:stop]``, in order.
     """
     chunk_size = _validate_chunk_size(chunk_size)
-    # ``None`` stays ``None`` so the model keeps its own default.
-    if backend is not None:
-        backend = resolve_backend(backend)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ConfigurationError(
             f"X must be 2-D (objects x attributes), got ndim={X.ndim}"
         )
-    score = _chunk_scorer(model, backend)
+    def score(chunk: np.ndarray) -> np.ndarray:
+        return np.asarray(model.score_samples(chunk), dtype=float)
+
     if not getattr(model, "pointwise_scores", True):
         # Batch-relative scores: one chunk, positions intact.
         if X.shape[0]:
@@ -158,17 +135,16 @@ def score_batch(
     chunk_size:
         Rows per chunk; ``None`` uses :data:`DEFAULT_CHUNK_SIZE`.
     backend:
-        Optional root-solver backend for every chunk (name or
-        instance; ``None`` = numpy reference).
+        Checked by :func:`~repro.linalg.backend.resolve_backend` and
+        otherwise ignored: ``"roots"`` has one stationary-root solver.
     """
+    resolve_backend(backend)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ConfigurationError(
             f"X must be 2-D (objects x attributes), got ndim={X.ndim}"
         )
     out = np.empty(X.shape[0])
-    for start, stop, scores in iter_score_chunks(
-        model, X, chunk_size, backend=backend
-    ):
+    for start, stop, scores in iter_score_chunks(model, X, chunk_size):
         out[start:stop] = scores
     return out

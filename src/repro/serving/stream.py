@@ -55,6 +55,7 @@ from repro.core.exceptions import ConfigurationError, DataValidationError
 from repro.core.rpc import RankingPrincipalCurve
 from repro.core.scoring import rank_entry_key
 from repro.data.loaders import TabularData, iter_csv_tables
+from repro.linalg.backend import resolve_backend
 
 
 @contextlib.contextmanager
@@ -159,7 +160,6 @@ def iter_stream_scores(
     chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
-    backend=None,
 ) -> Iterator[Tuple[List[str], np.ndarray]]:
     """Yield ``(labels, scores)`` per buffered chunk of a CSV, in order.
 
@@ -194,9 +194,7 @@ def iter_stream_scores(
                 f"model expects {expected} attributes but "
                 f"{path} provides {chunk.X.shape[1]}"
             )
-        yield chunk.labels, score_batch(
-            model, chunk.X, chunk_size=chunk_size, backend=backend
-        )
+        yield chunk.labels, score_batch(model, chunk.X, chunk_size=chunk_size)
 
 
 def stream_score_csv(
@@ -221,8 +219,12 @@ def stream_score_csv(
     (a bad row deep in the input, a scoring error) leaves no partial
     output file behind.
 
+    ``backend`` is checked by
+    :func:`~repro.linalg.backend.resolve_backend` and otherwise ignored.
+
     Returns the number of data rows scored.
     """
+    resolve_backend(backend)
     output_path = pathlib.Path(output_path)
     n_scored = 0
     with atomic_output(output_path) as handle:
@@ -234,7 +236,6 @@ def stream_score_csv(
             chunk_size=chunk_size,
             label_column=label_column,
             delimiter=delimiter,
-            backend=backend,
         ):
             writer.writerows(zip(labels, map(repr, scores.tolist())))
             n_scored += len(labels)
@@ -248,7 +249,6 @@ def stream_rank_topk(
     chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
-    backend=None,
 ) -> Tuple[List[Tuple[str, float]], int]:
     """Best-``k`` objects of a streamed CSV via a bounded min-heap.
 
@@ -303,7 +303,6 @@ def stream_rank_topk(
         chunk_size=chunk_size,
         label_column=label_column,
         delimiter=delimiter,
-        backend=backend,
     ):
         if k == 0:
             # Nothing to keep, but the stream is still drained so the
@@ -366,8 +365,8 @@ def stream_rank_csv(
     chunk_size, label_column, delimiter:
         As in :func:`iter_stream_scores`.
     backend:
-        Optional root-solver backend, as in
-        :func:`repro.serving.batch.score_batch`.
+        Checked by :func:`~repro.linalg.backend.resolve_backend` and
+        otherwise ignored.
     memory_budget_rows, max_open_runs, tmp_dir:
         External-sort knobs, see
         :class:`~repro.serving.extsort.ExternalSorter`.  Run files are
@@ -384,6 +383,7 @@ def stream_rank_csv(
     """
     from repro.serving.extsort import ExternalSorter
 
+    resolve_backend(backend)
     head = int(head)
     if head < 0:
         raise ConfigurationError(f"head must be >= 0, got {head}")
@@ -398,7 +398,6 @@ def stream_rank_csv(
             chunk_size=chunk_size,
             label_column=label_column,
             delimiter=delimiter,
-            backend=backend,
         ):
             sorter.add(labels, scores)
         n_rows = sorter.n_rows

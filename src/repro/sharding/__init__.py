@@ -26,8 +26,8 @@ Pieces
     every block lands exactly once.
 :class:`~repro.sharding.local.LocalShardFleet`
     Spawns throwaway local ``repro serve`` daemons on ephemeral ports —
-    the testing/CI topology, and the ``repro shard --local-workers N``
-    backend.
+    the testing/CI topology, and what ``repro shard --local-workers N``
+    runs on.
 :func:`~repro.sharding.rollup.rollup_metrics`
     The coordinator-level ``/metrics``: fetches every shard's JSON
     metrics and merges counters and latency histograms exactly.

@@ -49,7 +49,7 @@ class LocalShardFleet:
         against it).
     extra_args:
         Additional ``repro serve`` arguments appended to every
-        daemon's command line (e.g. ``["--backend", "closed-form"]``).
+        daemon's command line (e.g. ``["--batch-window-ms", "2"]``).
     boot_timeout:
         Seconds to wait for each daemon's port line + first healthy
         ``/healthz``.

@@ -5,11 +5,15 @@ Run from the repository root::
     PYTHONPATH=src python tests/data/make_golden_scores.py
 
 The fixture pins, as ``float.hex`` strings, the scores of every
-``project_points`` method x backend x cold/warm combination on a seeded
-degree-3 curve in four dimensions, plus ``score_batch`` on a model
-fitted to the bundled countries data.  ``tests/test_golden_scores.py``
-asserts exact equality, so regenerate only when a change is *meant* to
-move scoring bits, and say so in the change description.
+``project_points`` method x cold/warm combination on a seeded degree-3
+curve in four dimensions, plus ``score_batch`` on a model fitted to the
+bundled countries data.  Each projection is stored under two solver
+keys: ``closed-form`` (the runtime path) and ``numpy`` (for ``"roots"``
+the stacked-eigvals oracle; for ``gss`` and ``newton``, which never
+solve for roots, a copy of the runtime scores).
+``tests/test_golden_scores.py`` asserts exact equality, so regenerate
+only when a change is *meant* to move scoring bits, and say so in the
+change description.
 
 The inputs are stored alongside the scores (also as ``float.hex``), so
 the test never depends on this script reproducing its random draws.
@@ -28,6 +32,8 @@ from repro.core.projection import project_points
 from repro.core.rpc import RankingPrincipalCurve
 from repro.data import load_countries
 from repro.geometry.bezier import BezierCurve
+from repro.geometry.engine import ProjectionEngine
+from repro.linalg.polyroots import batched_minimize_on_interval
 from repro.serving import dumps_model, score_batch
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_scores.json")
@@ -36,7 +42,6 @@ SEED = 20261017
 N_ROWS = 257
 N_TIES = 40
 METHODS = ("gss", "newton", "roots")
-BACKENDS = ("numpy", "closed-form")
 BATCH_CHUNK = 64
 
 
@@ -110,22 +115,25 @@ def build() -> dict:
     far = rng.uniform(-0.5, 1.5, size=(37, d))
     X = np.vstack([near, far, _near_ties(curve, rng, N_TIES)])
     # Warm starts: the exact scores nudged by under one grid cell, the
-    # regime the fit loop hands its warm-started projections.
-    exact = project_points(curve, X, method="roots")
-    s0 = np.clip(exact + rng.uniform(-0.02, 0.02, size=exact.size), 0.0, 1.0)
+    # regime the fit loop hands its warm-started projections.  "Exact"
+    # is the eigvals oracle, the roots solver the fixture was first
+    # written with.
+    oracle = batched_minimize_on_interval(
+        ProjectionEngine(curve).compile(X).coeffs, 0.0, 1.0
+    )
+    s0 = np.clip(oracle + rng.uniform(-0.02, 0.02, size=oracle.size), 0.0, 1.0)
 
     projections = {}
     for method in METHODS:
-        for backend in BACKENDS:
-            for start in ("cold", "warm"):
-                s = project_points(
-                    curve,
-                    X,
-                    method=method,
-                    backend=backend,
-                    s0=s0 if start == "warm" else None,
-                )
-                projections[f"{method}/{backend}/{start}"] = _hex(s)
+        for start in ("cold", "warm"):
+            s = project_points(
+                curve, X, method=method, s0=s0 if start == "warm" else None
+            )
+            projections[f"{method}/closed-form/{start}"] = _hex(s)
+            # "roots" ignores warm starts, so both starts are the oracle.
+            projections[f"{method}/numpy/{start}"] = _hex(
+                oracle if method == "roots" else s
+            )
 
     data = load_countries()
     # Pinned to GSS, the default when the fixture was written: the
@@ -140,11 +148,15 @@ def build() -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model.fit(data.X)
+    # A GSS model never solves for roots: "closed-form" spells out the
+    # backend= keyword score_batch still accepts, "numpy" leaves it out.
     batch = {
-        backend: _hex(
-            score_batch(model, data.X, chunk_size=BATCH_CHUNK, backend=backend)
-        )
-        for backend in BACKENDS
+        "closed-form": _hex(
+            score_batch(
+                model, data.X, chunk_size=BATCH_CHUNK, backend="closed-form"
+            )
+        ),
+        "numpy": _hex(score_batch(model, data.X, chunk_size=BATCH_CHUNK)),
     }
     return {
         "control_points": [_hex(row) for row in curve.control_points],

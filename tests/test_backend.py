@@ -1,8 +1,9 @@
-"""Kernel-backend suite: closed-form root solving, backend resolution,
-and the daemon's backend telemetry.
+"""Roots-solver suite: closed-form root solving, the ``backend=``
+validator, and a daemon that reports no backend.
 
-The closed-form solver replaces the eigenvalue companion-matrix root
-finder on the serving hot path, so its oracle is ``numpy.roots``
+The closed-form solver is the one runtime ``"roots"`` root finder (the
+eigenvalue companion-matrix solver survives only as an oracle), so its
+oracle is ``numpy.roots``
 directly: every real root the companion matrix finds (degree <= 4) or
 every sign-crossing root inside the projection interval (degree >= 5)
 must come back to ~1e-12, including the adversarial shapes — double
@@ -13,6 +14,9 @@ scalings — where textbook quadratic/Cardano/Ferrari formulas break.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.request
 import warnings
@@ -23,12 +27,8 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.core.rpc import RankingPrincipalCurve
 from repro.data.synthetic import sample_monotone_cloud
-from repro.linalg.backend import (
-    BACKEND_CHOICES,
-    ClosedFormBackend,
-    NumpyBackend,
-    resolve_backend,
-)
+from repro.geometry.engine import CompiledProjection
+from repro.linalg.backend import CLOSED_FORM, resolve_backend
 from repro.linalg.closedform import (
     closed_form_real_roots,
     closed_form_stationary_roots,
@@ -288,51 +288,39 @@ class TestNearDegenerateDeflation:
 
 
 # ---------------------------------------------------------------------------
-# backend resolution
+# the ``backend=`` validator and the runtime roots solver
 # ---------------------------------------------------------------------------
 
 
 class TestBackendResolution:
-    def test_default_is_numpy_singleton(self):
-        assert resolve_backend(None) is resolve_backend("numpy")
-        assert resolve_backend("default") is resolve_backend("numpy")
-        assert isinstance(resolve_backend(None), NumpyBackend)
-
     def test_names_are_cached_singletons(self):
-        assert resolve_backend("closed-form") is resolve_backend(
-            "closed_form"
-        )
-        assert resolve_backend("NumPy") is resolve_backend("numpy")
-
-    def test_instance_passthrough(self):
-        backend = ClosedFormBackend()
-        assert resolve_backend(backend) is backend
+        assert resolve_backend(None) is CLOSED_FORM
+        assert resolve_backend("auto") is CLOSED_FORM
+        assert resolve_backend("closed-form") is CLOSED_FORM
 
     def test_auto_prefers_fastest_available(self):
         assert resolve_backend("auto").name == "closed-form"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            resolve_backend("fortran")
-
-    def test_choices_cover_available_names(self):
-        for name in BACKEND_CHOICES:
-            assert resolve_backend(name).name in BACKEND_CHOICES
+        # "numpy" named the eigvals solver, now only a test oracle.
+        for name in ("fortran", "numpy"):
+            with pytest.raises(ConfigurationError, match="backend"):
+                resolve_backend(name)
 
     def test_backend_kernels_match_reference(self):
-        """Each backend's stationary minimiser lands on the reference
-        answer (or an exactly tied basin) for random coercive sextics."""
+        """The runtime ``"roots"`` minimiser lands on the eigvals
+        oracle's answer (or an exactly tied basin) for random coercive
+        sextics."""
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=(40, 7))
         coeffs[:, -1] = np.abs(coeffs[:, -1]) + 0.5
-        reference = NumpyBackend().minimize_stationary(coeffs)
+        reference = batched_minimize_on_interval(coeffs, 0.0, 1.0)
         d_ref = horner_batch(coeffs, reference[:, np.newaxis])[:, 0]
-        for name in BACKEND_CHOICES:
-            s = resolve_backend(name).minimize_stationary(coeffs)
-            d = horner_batch(coeffs, s[:, np.newaxis])[:, 0]
-            close = np.abs(s - reference) <= 1e-10
-            tied = np.abs(d - d_ref) <= 1e-10 * (1.0 + np.abs(d_ref))
-            assert np.all(close | tied), name
+        s = CompiledProjection(coeffs).minimize_exact()
+        d = horner_batch(coeffs, s[:, np.newaxis])[:, 0]
+        close = np.abs(s - reference) <= 1e-10
+        tied = np.abs(d - d_ref) <= 1e-10 * (1.0 + np.abs(d_ref))
+        assert np.all(close | tied)
 
 
 class TestDtypePreservingKernels:
@@ -342,7 +330,7 @@ class TestDtypePreservingKernels:
 
 
 # ---------------------------------------------------------------------------
-# daemon telemetry: backend visible at every reporting surface
+# daemon telemetry: no backend anywhere, one compile counter
 # ---------------------------------------------------------------------------
 
 
@@ -369,33 +357,36 @@ def saved_model_path(tmp_path_factory):
     return cloud.X, path
 
 
-def _boot(path, **kwargs):
+def _boot(path):
     registry = ModelRegistry()
     registry.register("demo", str(path))
-    server = ScoringHTTPServer(("127.0.0.1", 0), registry, **kwargs)
+    server = ScoringHTTPServer(("127.0.0.1", 0), registry)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
     return server, base
 
 
-class TestServerBackendTelemetry:
-    def test_default_server_reports_numpy_float64(self, saved_model_path):
-        _, path = saved_model_path
-        server, base = _boot(path)
-        try:
-            _, _, body = _request(base, "GET", "/metrics")
-            engine = json.loads(body)["engine"]
-            assert engine["backend"] == "numpy"
-        finally:
-            server.shutdown()
-            server.server_close()
+def _cli(*argv):
+    """Run ``python -m repro *argv`` in a subprocess under a timeout,
+    so a flag the CLI wrongly accepted fails instead of serving."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
-    def test_configured_backend_reaches_every_surface(
+
+class TestServerBackendTelemetry:
+    def test_engine_block_counts_compiles_without_a_backend(
         self, saved_model_path
     ):
         X, path = saved_model_path
-        server, base = _boot(path, backend="closed-form")
+        server, base = _boot(path)
         try:
             payload = json.dumps({"rows": X[:5].tolist()}).encode()
             status, _, body = _request(
@@ -406,38 +397,37 @@ class TestServerBackendTelemetry:
                 headers={"Content-Type": "application/json"},
             )
             assert status == 200
-            scores = json.loads(body)["scores"]
-            assert len(scores) == 5
+            assert len(json.loads(body)["scores"]) == 5
 
             _, _, body = _request(base, "GET", "/metrics")
             engine = json.loads(body)["engine"]
-            assert engine["backend"] == "closed-form"
-            assert engine.get("backend_closed_form_compiles", 0) >= 1
+            assert "backend" not in engine
+            assert engine["engine_compiles"] >= 1
 
             _, _, body = _request(base, "GET", "/v1/models")
             for entry in json.loads(body)["models"]:
-                assert entry["backend"] == "closed-form"
+                assert "backend" not in entry
+            _, _, body = _request(base, "GET", "/v1/models/demo")
+            assert "backend" not in json.loads(body)
 
             _, _, body = _request(base, "GET", "/metrics?format=prometheus")
-            text = body.decode()
-            assert 'repro_engine_info{backend="closed-form"} 1' in text
+            assert "repro_engine_info" not in body.decode()
         finally:
             server.shutdown()
             server.server_close()
 
     def test_unknown_backend_fails_boot(self, saved_model_path):
+        """``--backend`` is gone from ``serve`` and ``score``: any value,
+        numba included, is an unrecognized argument (exit 2) before
+        anything serves."""
         _, path = saved_model_path
-        registry = ModelRegistry()
-        registry.register("demo", str(path))
-        with pytest.raises(ConfigurationError, match="backend"):
-            ScoringHTTPServer(
-                ("127.0.0.1", 0), registry, backend="fortran"
-            )
-
-    def test_numba_without_numba_fails_boot(self, saved_model_path):
-        """numba is not a backend; asking for it is a boot error."""
-        _, path = saved_model_path
-        registry = ModelRegistry()
-        registry.register("demo", str(path))
-        with pytest.raises(ConfigurationError, match="numba"):
-            ScoringHTTPServer(("127.0.0.1", 0), registry, backend="numba")
+        for argv in (
+            ("serve", "--model", f"demo={path}", "--port", "0"),
+            ("score", str(path), str(path)),
+        ):
+            for value in ("closed-form", "numba"):
+                done = _cli(*argv, "--backend", value)
+                case = (argv, value, done.stdout, done.stderr)
+                assert done.returncode == 2, case
+                assert "unrecognized arguments: --backend" in done.stderr
+                assert "serving" not in done.stdout, case

@@ -9,9 +9,10 @@ its correctness oracle is three-fold:
 * the compiled coefficients against a naive double-loop expansion and
   against direct ``‖x − f(s)‖²`` evaluation;
 * the default Newton scores against GSS (the paper's solver) and the
-  exact ``"roots"`` solver (stacked-eigvals
-  :func:`~repro.linalg.polyroots.batched_minimize_on_interval`),
-  property-style over random curves of degree 3–7.
+  stacked-eigvals oracle of the exact ``"roots"`` solver
+  (:func:`~repro.linalg.polyroots.batched_minimize_on_interval`
+  without a ``root_solver``), property-style over random curves of
+  degree 3–7.
 
 Agreement contract: per point the scores match to 1e-8 (in practice
 ~1e-12 — all paths finish on the same stationary points), except on
@@ -37,6 +38,7 @@ from repro.geometry.engine import (
 from repro.linalg.backend import resolve_backend
 from repro.linalg.golden_section import golden_section_search_batch
 from repro.linalg.horner import horner_batch, horner_pointwise
+from repro.linalg.polyroots import batched_minimize_on_interval
 
 S_ATOL = 1e-8
 #: Two scores count as a genuine tie when their squared distances agree
@@ -48,8 +50,24 @@ DIST_ATOL = 1e-10
 DEGREES = (3, 4, 5, 6, 7)
 SEEDS_PER_DEGREE = 6
 
-#: Every root-solver backend.
+#: The ``"roots"`` solvers, named as in ``tests/data/golden_scores.json``:
+#: ``"numpy"`` is the stacked-eigvals oracle, ``"closed-form"`` the
+#: runtime path.
 BACKENDS = ("numpy", "closed-form")
+
+
+def _eigvals_roots(curve, X) -> np.ndarray:
+    """The eigvals oracle of ``project_points(method="roots")``."""
+    coeffs = ProjectionEngine(curve).compile(X).coeffs
+    return batched_minimize_on_interval(coeffs, 0.0, 1.0)
+
+
+def _project(curve, X, method, backend):
+    """``project_points``, except that ``"roots"`` on ``"numpy"`` is
+    the eigvals oracle."""
+    if method == "roots" and backend == "numpy":
+        return _eigvals_roots(curve, X)
+    return project_points(curve, X, method=method)
 
 
 def _random_curve_and_points(degree: int, seed: int):
@@ -175,7 +193,7 @@ def _assert_three_way_agreement(curve, X, context):
     scores = {
         "newton": project_points(curve, X, method="newton", n_grid=N_GRID),
         "gss": project_points(curve, X, method="gss", n_grid=N_GRID),
-        "roots": project_points(curve, X, method="roots", backend="numpy"),
+        "roots": _eigvals_roots(curve, X),
     }
     compiled = ProjectionEngine(curve).compile(X)
     d = {name: compiled.distance(s) for name, s in scores.items()}
@@ -226,12 +244,12 @@ class TestSolverAgreementAcrossDegrees:
 
 
 class TestBackendDtypeAgreement:
-    """Every backend against the default path.
+    """The eigvals oracle and the runtime path against each other.
 
-    Runs must agree with the numpy reference to the repo-wide
-    1e-8/1e-10 contract (in practice exactly: the backends share the
-    clip/boundary/Newton-polish semantics and differ only in how
-    stationary roots are found).
+    Runs must agree to the repo-wide 1e-8/1e-10 contract (in practice
+    exactly: both share the clip/boundary/Newton-polish semantics of
+    :func:`~repro.linalg.polyroots.batched_minimize_on_interval` and
+    differ only in how stationary roots are found).
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -240,7 +258,7 @@ class TestBackendDtypeAgreement:
     def test_float64_agrees_with_reference(self, degree, method, backend):
         curve, X = _random_curve_and_points(degree, seed=7)
         ref = project_points(curve, X, method=method)
-        got = project_points(curve, X, method=method, backend=backend)
+        got = _project(curve, X, method, backend)
         compiled = ProjectionEngine(curve).compile(X)
         close = np.abs(got - ref) <= S_ATOL
         tied = np.abs(
@@ -256,30 +274,32 @@ class TestBackendDtypeAgreement:
         """Spelling out the defaults must not change a single bit."""
         curve, X = _random_curve_and_points(degree, seed=13)
         ref = project_points(curve, X, method=method)
-        got = project_points(curve, X, method=method, backend="numpy")
+        got = ProjectionEngine(curve).compile(
+            np.asarray(X, dtype=np.float64)
+        ).project(method, n_grid=32, tol=1e-10)
         np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("degree", DEGREES)
     def test_batch_split_invariance(self, degree, backend):
-        """Chunk boundaries never move a score, whatever the backend.
+        """Chunk boundaries never move a ``"roots"`` score.
 
         The same byte-identity the serving layer pins for the default
-        path (chunked == unchunked), here for each backend: per-row
-        convergence is tracked per slot, so a row's solve cannot depend
-        on which other rows share its batch.
+        path (chunked == unchunked), here for the runtime roots path and
+        its eigvals oracle: per-row convergence is tracked per slot, so
+        a row's solve cannot depend on which other rows share its batch.
         """
         curve, X = _random_curve_and_points(degree, seed=17)
-        full = project_points(curve, X, method="roots", backend=backend)
+        full = _project(curve, X, "roots", backend)
         split = np.concatenate([
-            project_points(curve, X[:7], method="roots", backend=backend),
-            project_points(curve, X[7:23], method="roots", backend=backend),
-            project_points(curve, X[23:], method="roots", backend=backend),
+            _project(curve, X[:7], "roots", backend),
+            _project(curve, X[7:23], "roots", backend),
+            _project(curve, X[23:], "roots", backend),
         ])
         np.testing.assert_array_equal(split, full)
 
     def test_numba_request_without_numba_is_rejected(self):
-        """numba is not a backend; its name is rejected by name."""
+        """numba is not a root solver; its name is rejected by name."""
         with pytest.raises(ConfigurationError, match="numba"):
             resolve_backend("numba")
 

@@ -122,7 +122,7 @@ class TestFamilyListing:
         assert entries["borda"]["family"] == "borda"
         for entry in entries.values():
             assert entry["fitted"] is True
-            assert "backend" in entry
+            assert "backend" not in entry
 
     def test_get_single_model(self, served):
         status, entry = _get(served["base"] + "/v1/models/elmap")
@@ -131,7 +131,7 @@ class TestFamilyListing:
         assert entry["family"] == "elastic-map"
         assert entry["format"] == "manifest"
         assert entry["n_attributes"] == 3
-        assert "backend" in entry
+        assert "backend" not in entry
 
     def test_get_unknown_model_404(self, served):
         status, body = _get(served["base"] + "/v1/models/nope")

@@ -34,6 +34,7 @@ import time
 import urllib.error
 import urllib.request
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,13 +68,18 @@ def saved(tmp_path_factory):
     return model, X, path
 
 
-def _boot_daemon(model_path, extra_args=()):
-    """Start ``repro serve`` on an ephemeral port; return (proc, base)."""
+def _repro_env() -> dict:
+    """The environment for a ``python -m repro`` subprocess."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def _boot_daemon(model_path, extra_args=()):
+    """Start ``repro serve`` on an ephemeral port; return (proc, base)."""
     proc = subprocess.Popen(
         [
             sys.executable, "-u", "-m", "repro", "serve",
@@ -82,7 +88,7 @@ def _boot_daemon(model_path, extra_args=()):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        env=env,
+        env=_repro_env(),
     )
     deadline = time.monotonic() + 60
     port = None
@@ -417,30 +423,55 @@ class TestBootValidation:
         ("--keepalive-timeout", "inf"),
         ("--trace-sample", "0"),
         ("--trace-buffer", "0"),
-        ("--backend", "bogus"),
     )
+    #: Seconds a rejected boot may take; a daemon still running by then
+    #: accepted the knob.
+    TIMEOUT = 60
 
-    def test_bad_knobs_fail_before_serving_in_both_modes(
-        self, saved, capsys
-    ):
-        from repro.cli import main
+    def _serve(self, argv):
+        """Exit code, stdout and stderr of one ``repro serve`` run.
 
+        Each case runs in its own session, so a daemon that wrongly
+        accepts the knob is killed with its workers at the timeout and
+        fails the case instead of hanging the suite.
+        """
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_repro_env(),
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=self.TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            out, err = proc.communicate()
+            raise AssertionError(
+                f"daemon still up after {self.TIMEOUT}s: {argv} {out!r}"
+            ) from None
+        return proc.returncode, out, err
+
+    def test_bad_knobs_fail_before_serving_in_both_modes(self, saved):
         _, _, path = saved
-        for workers in ("1", "2"):
-            for flag, value in self.BAD_KNOBS:
-                argv = [
-                    "serve", "--model", f"demo={path}", "--port", "0",
-                    "--workers", workers, flag, value,
-                ]
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse rejects a choice
-                    code = exc.code
-                out, err = capsys.readouterr()
-                case = (workers, flag, value, out, err)
-                assert code == 2, case
-                assert "error:" in err, case
-                assert "serving" not in out, case
+        cases = [
+            (workers, flag, value)
+            for workers in ("1", "2")
+            for flag, value in self.BAD_KNOBS
+        ]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = pool.map(
+                lambda case: self._serve([
+                    "--model", f"demo={path}", "--port", "0",
+                    "--workers", case[0], case[1], case[2],
+                ]),
+                cases,
+            )
+            for case, (code, out, err) in zip(cases, runs):
+                assert code == 2, (case, out, err)
+                assert "error:" in err, (case, out, err)
+                assert "serving" not in out, (case, out, err)
 
 
 class TestWorkerPoolValidation:

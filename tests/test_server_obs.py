@@ -208,19 +208,19 @@ class TestBatcherStatsLocking:
 
 
 class TestSharedHistogramMerge:
-    """The latency-histogram cells of the shared store (format v4)."""
+    """The latency-histogram cells of the shared store (format v5)."""
 
     def test_format_version_pins_layout(self):
-        # STORE_FORMAT_VERSION 4 == histogram cells with these bounds,
+        # STORE_FORMAT_VERSION 5 == histogram cells with these bounds,
         # the rank-shard and model-info endpoint labels, and the
-        # backend-compile and scoring_calls engine cells.  Changing
+        # engine_compiles and scoring_calls engine cells.  Changing
         # the bounds, the endpoint tuple or the engine cell list is a
         # layout change: bump the version and fix this golden.
-        assert STORE_FORMAT_VERSION == 4
+        assert STORE_FORMAT_VERSION == 5
         assert HISTOGRAM_FORMAT_VERSION == 1
         assert len(LATENCY_BUCKET_BOUNDS) == 32
-        assert len(ENGINE_CELL_KEYS) == 14
-        assert ENGINE_CELL_KEYS[-1] == "scoring_calls"
+        assert len(ENGINE_CELL_KEYS) == 13
+        assert ENGINE_CELL_KEYS[-2:] == ("engine_compiles", "scoring_calls")
         assert len(SHARED_ENDPOINTS) == 12
         assert "POST /v1/models/{name}/rank-shard" in SHARED_ENDPOINTS
         assert "GET /v1/models/{name}" in SHARED_ENDPOINTS

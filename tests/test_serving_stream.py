@@ -56,6 +56,22 @@ def workload(tmp_path_factory):
     return model, model_path, csv_path, cloud.X, labels
 
 
+@pytest.fixture(scope="module")
+def roots_workload(workload, tmp_path_factory):
+    """Saved model file of a ``projection="roots"`` fit to the
+    ``workload`` rows."""
+    X = workload[3]
+    model = RankingPrincipalCurve(
+        alpha=ALPHA, projection="roots", random_state=0, n_restarts=1
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model.fit(X)
+    model_path = tmp_path_factory.mktemp("stream_roots") / "roots.json"
+    save_model(model, model_path, feature_names=["a", "b", "c"])
+    return model_path
+
+
 def cli_oracle(model_path, csv_path, output, chunk_size, top, label_column):
     """What ``repro score`` must write and print, from the library.
 
@@ -301,24 +317,28 @@ class TestAtomicOutput:
 
 
 class TestCliStream:
-    def test_stream_output_is_byte_identical(self, workload, tmp_path, capsys):
-        """``repro score`` writes and prints exactly the library oracle."""
-        _, model_path, csv_path, _, _ = workload
-        output = tmp_path / "ranking.csv"
-        assert main(
-            [
-                "score", str(model_path), str(csv_path),
-                "--label-column", "id", "--chunk-size", "25", "--top", "3",
-                "--output", str(output),
+    def test_stream_output_is_byte_identical(
+        self, workload, roots_workload, tmp_path, capsys
+    ):
+        """``repro score`` writes and prints exactly the library oracle,
+        for the default Newton model and a ``projection="roots"`` one."""
+        _, newton_path, csv_path, _, _ = workload
+        for model_path in (newton_path, roots_workload):
+            output = tmp_path / f"ranking-{model_path.stem}.csv"
+            assert main(
+                [
+                    "score", str(model_path), str(csv_path),
+                    "--label-column", "id", "--chunk-size", "25",
+                    "--top", "3", "--output", str(output),
+                ]
+            ) == 0
+            stdout = capsys.readouterr().out
+            expected = tmp_path / f"oracle-{model_path.stem}.csv"
+            lines = cli_oracle(model_path, csv_path, expected, 25, 3, "id")
+            assert output.read_bytes() == expected.read_bytes(), model_path
+            assert stdout.splitlines() == lines + [
+                f"full ranking written to {output}"
             ]
-        ) == 0
-        stdout = capsys.readouterr().out
-        expected = tmp_path / "oracle.csv"
-        lines = cli_oracle(model_path, csv_path, expected, 25, 3, "id")
-        assert output.read_bytes() == expected.read_bytes()
-        assert stdout.splitlines() == lines + [
-            f"full ranking written to {output}"
-        ]
 
     def test_gz_input_matches_the_oracle(self, workload, tmp_path, capsys):
         import gzip
