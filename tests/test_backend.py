@@ -41,7 +41,13 @@ from repro.linalg.polyroots import (
     real_roots,
 )
 from repro.server import ModelRegistry, ScoringHTTPServer
-from repro.serving import save_model
+from repro.serving import (
+    load_model,
+    save_model,
+    score_batch,
+    stream_rank_csv,
+    stream_score_csv,
+)
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -293,8 +299,16 @@ class TestNearDegenerateDeflation:
 
 
 class TestBackendResolution:
-    def test_names_are_cached_singletons(self):
+    def test_default_is_numpy_singleton(self):
+        """``None`` names the one cached descriptor, whose solver runs
+        on numpy float64 arrays; "numpy" is no longer a backend name."""
         assert resolve_backend(None) is CLOSED_FORM
+        assert resolve_backend(None) is resolve_backend(None)
+        coeffs = np.array([[0.5, -1.0, 0.0, 1.0]])
+        s = CompiledProjection(coeffs).minimize_exact()
+        assert isinstance(s, np.ndarray) and s.dtype == np.float64
+
+    def test_names_are_cached_singletons(self):
         assert resolve_backend("auto") is CLOSED_FORM
         assert resolve_backend("closed-form") is CLOSED_FORM
 
@@ -381,23 +395,104 @@ def _cli(*argv):
     )
 
 
+def _served_scores(base, rows):
+    """Scores ``POST /v1/models/demo/score`` returns for ``rows``."""
+    payload = json.dumps({"rows": rows.tolist()}).encode()
+    status, _, body = _request(
+        base,
+        "POST",
+        "/v1/models/demo/score",
+        body=payload,
+        headers={"Content-Type": "application/json"},
+    )
+    assert status == 200
+    return json.loads(body)["scores"]
+
+
+def _write_rows_csv(path, X):
+    lines = ["id,a,b,c"]
+    lines += [
+        f"r{i}," + ",".join(repr(float(v)) for v in row)
+        for i, row in enumerate(X)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _assert_backend_flag_rejected(path, values):
+    for argv in (
+        ("serve", "--model", f"demo={path}", "--port", "0"),
+        ("score", str(path), str(path)),
+    ):
+        for value in values:
+            done = _cli(*argv, "--backend", value)
+            case = (argv, value, done.stdout, done.stderr)
+            assert done.returncode == 2, case
+            assert "unrecognized arguments: --backend" in done.stderr
+            assert "serving" not in done.stdout, case
+
+
 class TestServerBackendTelemetry:
+    def test_default_server_reports_numpy_float64(self, saved_model_path):
+        """A daemon booted with no backend serves, bit for bit, the
+        float64 scores the library computes from the same file."""
+        X, path = saved_model_path
+        server, base = _boot(path)
+        try:
+            served = _served_scores(base, X[:5])
+        finally:
+            server.shutdown()
+            server.server_close()
+        expected = load_model(path).score_samples(X[:5])
+        assert expected.dtype == np.float64
+        assert served == expected.tolist()
+
+    def test_configured_backend_reaches_every_surface(
+        self, saved_model_path, tmp_path
+    ):
+        """Every surface that still takes ``backend=`` accepts each
+        name of the one solver and returns the daemon's scores."""
+        X, path = saved_model_path
+        server, base = _boot(path)
+        try:
+            served = _served_scores(base, X)
+        finally:
+            server.shutdown()
+            server.server_close()
+        model = load_model(path)
+        csv_path = tmp_path / "rows.csv"
+        _write_rows_csv(csv_path, X)
+        labels = [f"r{i}" for i in range(X.shape[0])]
+        for backend in (None, "auto", "closed-form"):
+            assert model.score_samples(X, backend=backend).tolist() == served
+            assert score_batch(model, X, backend=backend).tolist() == served
+
+            scored = tmp_path / f"scored-{backend}.csv"
+            stream_score_csv(model, csv_path, scored, backend=backend)
+            rows = [
+                line.split(",")
+                for line in scored.read_text().splitlines()[1:]
+            ]
+            assert [r[0] for r in rows] == labels
+            assert [float(r[1]) for r in rows] == served
+
+            ranked = tmp_path / f"ranked-{backend}.csv"
+            n_rows, _ = stream_rank_csv(
+                model, csv_path, ranked, backend=backend
+            )
+            assert n_rows == X.shape[0]
+            by_label = {
+                r.split(",")[1]: float(r.split(",")[2])
+                for r in ranked.read_text().splitlines()[1:]
+            }
+            assert by_label == dict(zip(labels, served))
+
     def test_engine_block_counts_compiles_without_a_backend(
         self, saved_model_path
     ):
         X, path = saved_model_path
         server, base = _boot(path)
         try:
-            payload = json.dumps({"rows": X[:5].tolist()}).encode()
-            status, _, body = _request(
-                base,
-                "POST",
-                "/v1/models/demo/score",
-                body=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            assert status == 200
-            assert len(json.loads(body)["scores"]) == 5
+            assert len(_served_scores(base, X[:5])) == 5
 
             _, _, body = _request(base, "GET", "/metrics")
             engine = json.loads(body)["engine"]
@@ -417,17 +512,24 @@ class TestServerBackendTelemetry:
             server.server_close()
 
     def test_unknown_backend_fails_boot(self, saved_model_path):
-        """``--backend`` is gone from ``serve`` and ``score``: any value,
-        numba included, is an unrecognized argument (exit 2) before
-        anything serves."""
+        """``--backend`` is gone from ``serve`` and ``score``: any value
+        is an unrecognized argument (exit 2) before anything serves."""
         _, path = saved_model_path
-        for argv in (
-            ("serve", "--model", f"demo={path}", "--port", "0"),
-            ("score", str(path), str(path)),
-        ):
-            for value in ("closed-form", "numba"):
-                done = _cli(*argv, "--backend", value)
-                case = (argv, value, done.stdout, done.stderr)
-                assert done.returncode == 2, case
-                assert "unrecognized arguments: --backend" in done.stderr
-                assert "serving" not in done.stdout, case
+        _assert_backend_flag_rejected(path, ("closed-form", "fortran"))
+
+    def test_numba_without_numba_fails_boot(self, saved_model_path, tmp_path):
+        """numba is not a solver: the CLI rejects ``--backend numba``
+        and the library keyword raises before any input is read."""
+        _, path = saved_model_path
+        _assert_backend_flag_rejected(path, ("numba",))
+        model = load_model(path)
+        missing = tmp_path / "never-read.csv"
+        with pytest.raises(ConfigurationError, match="numba"):
+            stream_score_csv(
+                model, missing, tmp_path / "out.csv", backend="numba"
+            )
+        with pytest.raises(ConfigurationError, match="numba"):
+            stream_rank_csv(model, missing, None, backend="numba")
+        with pytest.raises(ConfigurationError, match="numba"):
+            score_batch(model, np.zeros((1, 3)), backend="numba")
+        assert not (tmp_path / "out.csv").exists()
