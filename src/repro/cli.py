@@ -225,12 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         dest="batch_window_ms",
         metavar="MS",
-        help="micro-batching: coalesce small concurrent /score and "
-        "/rank requests arriving within this window into one engine "
-        "call (responses stay byte-identical; 0 = off, the default). "
-        "Under the default adaptive policy this is the window CAP: "
-        "the live window grows toward it under load and collapses to "
-        "zero when traffic is sparse",
+        help="micro-batching: small /score and /rank requests that "
+        "arrive while an engine call for their model is running are "
+        "coalesced into the next call, and wait at most this long for "
+        "it (responses stay byte-identical; 0 = off, the default). "
+        "An idle daemon waits for nothing",
     )
     serve.add_argument(
         "--max-batch-rows",
@@ -240,15 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="rows per coalesced micro-batch before it is flushed "
         "early; requests this large bypass batching (default 1024)",
-    )
-    serve.add_argument(
-        "--batch-policy",
-        default="adaptive",
-        metavar="{adaptive,fixed}",
-        dest="batch_policy",
-        help="micro-batch window policy: 'adaptive' (default) scales "
-        "the coalescing window with queue depth, 'fixed' always waits "
-        "the full --batch-window-ms",
     )
     serve.add_argument(
         "--max-inflight",
@@ -685,7 +675,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         batch_window=args.batch_window_ms / 1e3,
         max_batch_rows=args.max_batch_rows,
-        batch_policy=args.batch_policy,
         max_inflight=(
             DEFAULT_MAX_INFLIGHT
             if args.max_inflight is None

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from repro.core.exceptions import ConfigurationError
 from repro.geometry.bernstein import (
@@ -193,6 +192,10 @@ class BezierCurve:
 
     def arc_length(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Arc length of the curve segment via adaptive quadrature."""
+        # Imported here: scipy.integrate is most of the package's import
+        # time, and nothing on the CLI or daemon path measures length.
+        from scipy.integrate import quad
+
         if not 0.0 <= lo <= hi <= 1.0:
             raise ConfigurationError(
                 f"need 0 <= lo <= hi <= 1, got lo={lo}, hi={hi}"

@@ -44,7 +44,7 @@ LATENCY_BUCKET_BOUNDS: Tuple[float, ...] = tuple(
 N_LATENCY_BUCKETS = len(LATENCY_BUCKET_BOUNDS) + 1
 
 #: Upper edges (requests per executed micro-batch) of the batch-fill
-#: distribution; powers of two because the adaptive window doubles.
+#: distribution; powers of two, so a few buckets span 1 to 32.
 BATCH_FILL_BUCKETS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 
 _BOUNDS_ARRAY = np.asarray(LATENCY_BUCKET_BOUNDS)

@@ -13,9 +13,10 @@ For heavy traffic the daemon scales out and coalesces: a
 :class:`WorkerPool` (``repro serve --workers N``) pre-forks workers
 that share the listening socket and aggregate their metrics through a
 :class:`SharedMetricsStore`, and a per-worker :class:`MicroBatcher`
-(``--batch-window-ms``) merges small concurrent scoring requests into
-single engine calls with byte-identical responses.  Operations guide
-(sizing, batching trade-offs, proxy TLS/auth): ``docs/ops.md``.
+(``--batch-window-ms``) merges the small scoring requests that queue
+behind a running engine call into the next one, with byte-identical
+responses.  Operations guide (sizing, batching trade-offs, proxy
+TLS/auth): ``docs/ops.md``.
 
 Observability (:mod:`repro.obs`): ``--trace`` records per-request
 stage spans served by ``GET /v1/debug/trace/<request-id>``,
@@ -47,7 +48,6 @@ from repro.server.admission import (
     RequestShed,
 )
 from repro.server.batching import (
-    AdaptiveWindowController,
     BatchAbortedError,
     MicroBatcher,
 )
@@ -77,7 +77,6 @@ __all__ = [
     "ENGINE_CELL_KEYS",
     "MAX_BODY_BYTES",
     "STORE_FORMAT_VERSION",
-    "AdaptiveWindowController",
     "AdmissionController",
     "BatchAbortedError",
     "MicroBatcher",

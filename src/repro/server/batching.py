@@ -7,22 +7,19 @@ matmul on a handful of rows), a dozen tiny-array solver dispatches, and
 the GIL churn of a dedicated handler thread.  A ranking service fed by
 interactive clients sees exactly this shape — lots of concurrent 1-to-
 16-row requests — so the daemon amortises them: requests for the same
-model that arrive within a short window are concatenated into one
-:func:`~repro.serving.batch.score_batch` call and the result is
-scattered back per request.
+model that queue up while an engine call for it is running are
+concatenated into one :func:`~repro.serving.batch.score_batch` call and
+the result is scattered back per request.
 
-Window policy
--------------
-The window itself is adaptive by default (``policy="adaptive"``): the
-configured ``window`` is only a *cap*, and the effective coalescing
-wait is driven by an :class:`AdaptiveWindowController` that grows the
-window multiplicatively while batches keep finding company (or close
-full, or leave requests queued behind them) and halves it back toward
-zero the moment they stop.  An idle service therefore pays no added
-latency at all — single requests flush immediately — while a saturated
-one converges to the cap within a handful of flushes and gets the full
-amortisation.  ``policy="fixed"`` restores the PR 5 behaviour: every
-leader waits out the whole configured window.
+When batches form
+-----------------
+Each model key has at most one *open* batch.  A request that finds no
+engine call running for its key scores at once, so an idle service
+waits for nothing.  A request that finds one running opens (or joins)
+the batch queued behind it; that batch executes as soon as the running
+call finishes, the batch reaches ``max_rows``, or ``window`` seconds
+pass, whichever comes first.  Batches therefore grow exactly as fast
+as arrivals outpace the engine, and ``window`` only caps the wait.
 
 Correctness contract
 --------------------
@@ -39,7 +36,7 @@ Micro-batching is invisible in the responses, bit for bit:
   bit-stable across batch shapes, so coalescing may move their scores
   at the last-ulp level (never beyond).
 * Requests are only merged when they share the model *object* (a hot
-  reload mid-window splits batches, never mixes models), the model's
+  reload mid-queue splits batches, never mixes models), the model's
   *family* (mixed-family traffic batches safely — an rpc request can
   never be concatenated into an elastic-map solve even if a registry
   slot is hot-swapped between families), and the row width, so a
@@ -57,9 +54,9 @@ Micro-batching is invisible in the responses, bit for bit:
   shutdown must never stall behind an N-way rescore — and followers
   are woken with a :class:`BatchAbortedError`.
 
-The batcher adds at most ``window`` seconds of latency to the *first*
-request of a batch and typically much less to followers; ``window=0``
-disables coalescing entirely and every call scores synchronously.
+A request waits at most ``window`` seconds before its batch executes;
+``window=0`` disables coalescing entirely and every call scores
+synchronously.
 """
 
 from __future__ import annotations
@@ -82,10 +79,6 @@ from repro.obs.trace import NULL_TRACE
 #: batching entirely (large requests already amortise their overhead).
 DEFAULT_MAX_BATCH_ROWS = 1024
 
-#: Recognised window policies.
-WINDOW_POLICIES = ("adaptive", "fixed")
-
-
 class BatchAbortedError(RuntimeError):
     """The batch leader died before scattering results.
 
@@ -93,57 +86,6 @@ class BatchAbortedError(RuntimeError):
     ``BaseException`` (``KeyboardInterrupt`` during the merged call,
     say) — the leader re-raises the original, followers get this.
     """
-
-
-class AdaptiveWindowController:
-    """Feedback controller for the coalescing window.
-
-    The effective window starts at zero and is updated once per flush,
-    under the batcher's lock:
-
-    * a *busy* flush — more than one member, closed full, or further
-      requests already queued behind it — doubles the window (seeding
-      at ``cap / 64``), saturating at the configured cap;
-    * a *lonely* flush — one member, nothing waiting — halves it, and
-      snaps to exactly zero below ``cap / 1024`` so an idle service
-      coalesces (and waits) not at all.
-
-    Multiplicative growth reaches the cap from a cold start in ~6
-    flushes, so a load spike is met within a few milliseconds of
-    serving it, and the same geometry collapses the window just as
-    fast when the spike passes.
-    """
-
-    _GROW_SEED = 1.0 / 64.0
-    _COLLAPSE_BELOW = 1.0 / 1024.0
-
-    def __init__(self, cap: float, max_rows: int):
-        self.cap = float(cap)
-        self.max_rows = int(max_rows)
-        self._window = 0.0
-
-    def window(self) -> float:
-        """Seconds the next batch leader should wait for company."""
-        return self._window
-
-    def on_flush(self, n_requests: int, n_rows: int, depth: int) -> None:
-        """Feed one executed batch back into the controller.
-
-        Parameters: the batch's member-request count and total rows,
-        and ``depth`` — requests still in flight behind it when it
-        closed (the queue-pressure signal).
-        """
-        busy = n_requests > 1 or n_rows >= self.max_rows or depth > 0
-        if busy:
-            self._window = min(
-                self.cap,
-                max(self._window * 2.0, self.cap * self._GROW_SEED),
-            )
-        else:
-            shrunk = self._window / 2.0
-            self._window = (
-                0.0 if shrunk < self.cap * self._COLLAPSE_BELOW else shrunk
-            )
 
 
 class _Request:
@@ -166,17 +108,19 @@ class _Request:
 
 
 class _Batch:
-    """An open micro-batch: members joined while the leader waits."""
+    """A micro-batch: members join while it waits behind a running call.
 
-    __slots__ = ("members", "rows", "closed", "done", "full", "deadline")
+    ``ready`` wakes its leader to execute; ``done`` wakes the followers
+    once results are scattered.
+    """
 
-    def __init__(self, deadline: float):
-        self.members: List[_Request] = []
-        self.rows = 0
-        self.closed = False
+    __slots__ = ("members", "rows", "ready", "done")
+
+    def __init__(self, request: _Request):
+        self.members: List[_Request] = [request]
+        self.rows = int(request.X.shape[0])
+        self.ready = threading.Event()
         self.done = threading.Event()
-        self.full = threading.Event()
-        self.deadline = deadline
 
 
 class MicroBatcher:
@@ -189,17 +133,12 @@ class MicroBatcher:
         (the daemon passes :func:`~repro.serving.batch.score_batch`
         closed over its chunk/thread settings).
     window:
-        Cap in seconds on how long the first request of a batch waits
-        for company.  ``0`` disables batching: every call runs
+        Cap in seconds on how long a batch waits behind the running
+        call for its key.  ``0`` disables batching: every call runs
         ``score_fn`` directly.
     max_rows:
         Flush a batch as soon as it holds this many rows, and bypass
         batching for any single request at or above it.
-    policy:
-        ``"adaptive"`` (default) drives the effective window with an
-        :class:`AdaptiveWindowController` — zero when idle, growing
-        toward ``window`` under queue pressure.  ``"fixed"`` always
-        waits the full ``window``.
     on_flush:
         Optional ``on_flush(n_requests, n_rows)`` callback invoked
         (under the batcher lock) after each merged execution — the
@@ -215,11 +154,13 @@ class MicroBatcher:
         each solve once however requests were coalesced.
 
     Thread model: callers are the daemon's per-connection handler
-    threads.  The first caller for a (model, family, width) key becomes the
-    batch *leader*: it sleeps out the window (or until the batch
-    fills), executes the merged call, scatters results, and wakes the
-    followers, which were blocking on the batch's event.  No extra
-    threads are created.
+    threads.  The caller that opens a batch for a (model, family,
+    width) key becomes its *leader*: it executes at once if no call
+    for the key is running, and otherwise waits on the batch's
+    ``ready`` event, which the running call's leader sets as it
+    finishes.  It then executes the merged call, scatters results, and
+    wakes the followers, which were blocking on the batch's ``done``
+    event.  No extra threads are created.
     """
 
     def __init__(
@@ -227,7 +168,6 @@ class MicroBatcher:
         score_fn: Callable[[object, np.ndarray], np.ndarray],
         window: float = 0.0,
         max_rows: int = DEFAULT_MAX_BATCH_ROWS,
-        policy: str = "adaptive",
         on_flush: Optional[Callable[[int, int], None]] = None,
         on_execute: Optional[Callable[[EngineProfile], None]] = None,
     ):
@@ -242,20 +182,15 @@ class MicroBatcher:
             )
         if max_rows < 1:
             raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
-        if policy not in WINDOW_POLICIES:
-            raise ConfigurationError(
-                f"batch policy must be one of {WINDOW_POLICIES}, "
-                f"got {policy!r}"
-            )
         self._score_fn = score_fn
         self.window = window
         self.max_rows = max_rows
-        self.policy = policy
-        self._controller = AdaptiveWindowController(window, max_rows)
         self._on_flush = on_flush
         self._on_execute = on_execute
         self._lock = threading.Lock()
+        # Per key: the open batch, and how many calls are executing.
         self._pending: Dict[Tuple[int, str, int], _Batch] = {}
+        self._running: Dict[Tuple[int, str, int], int] = {}
         self._batch_seq = 0
         # Telemetry (guarded by the same lock).
         self._inflight = 0
@@ -272,7 +207,7 @@ class MicroBatcher:
         """Score ``X`` with ``model``, possibly merged with other calls.
 
         Blocks until this request's scores are available (at most the
-        window plus the merged call's own runtime) and returns exactly
+        window plus the engine calls it waits on) and returns exactly
         what ``score_fn(model, X)`` would have — or raises exactly what
         it would have raised.
 
@@ -303,34 +238,34 @@ class MicroBatcher:
         )
         with self._lock:
             self._inflight += 1
+            self._requests_batched += 1
             batch = self._pending.get(key)
             if (
                 batch is not None
-                and not batch.closed
                 and batch.rows + X.shape[0] <= self.max_rows
             ):
                 batch.members.append(request)
                 batch.rows += X.shape[0]
-                self._requests_batched += 1
                 if batch.rows >= self.max_rows:
-                    batch.full.set()
+                    self._release(key, batch)
                 leader = False
             else:
-                if batch is not None and not batch.closed:
+                if batch is not None:
                     # The open batch cannot take these rows; flush it
-                    # early and start a fresh one it no longer owns.
-                    batch.full.set()
-                batch = _Batch(
-                    deadline=time.monotonic() + self._effective_window()
-                )
-                batch.members.append(request)
-                batch.rows = int(X.shape[0])
-                self._pending[key] = batch
-                self._requests_batched += 1
+                    # early and queue a fresh one behind it.
+                    self._release(key, batch)
+                batch = _Batch(request)
+                if self._running.get(key, 0):
+                    # Queue behind the running call, which releases
+                    # this batch when it finishes.
+                    self._pending[key] = batch
+                else:
+                    self._release(key, batch)
                 leader = True
 
         try:
             if leader:
+                batch.ready.wait(self.window)
                 self._lead(key, batch, model)
             else:
                 batch.done.wait()
@@ -350,15 +285,9 @@ class MicroBatcher:
     def stats(self) -> dict:
         """Telemetry counters (also surfaced under ``/metrics``)."""
         with self._lock:
-            current = (
-                self._controller.window()
-                if self.policy == "adaptive"
-                else self.window
-            )
             return {
-                "policy": self.policy,
                 "window_ms": round(self.window * 1e3, 3),
-                "current_window_ms": round(current * 1e3, 3),
+                "current_window_ms": round(self.window * 1e3, 3),
                 "queue_depth": self._inflight,
                 "max_rows": self.max_rows,
                 "requests_batched": self._requests_batched,
@@ -371,12 +300,6 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Leader path
     # ------------------------------------------------------------------
-    def _effective_window(self) -> float:
-        """Seconds the next leader waits; caller holds the lock."""
-        if self.policy == "adaptive":
-            return self._controller.window()
-        return self.window
-
     def _scored_direct(self, model, X: np.ndarray, trace) -> np.ndarray:
         """Bypass path: score synchronously, still profiled/traced."""
         profile = (
@@ -400,17 +323,24 @@ class MicroBatcher:
             if trace.enabled:
                 trace.add_span("engine_metrics", t_done, time.perf_counter())
 
+    def _release(self, key, batch: _Batch) -> None:
+        """Let ``batch`` execute; caller holds the lock.
+
+        A released batch leaves the open slot, so no request joins it
+        any more, and counts as running for its key until its leader
+        finishes.
+        """
+        if self._pending.get(key) is batch:
+            del self._pending[key]
+        self._running[key] = self._running.get(key, 0) + 1
+        batch.ready.set()
+
     def _lead(self, key, batch: _Batch, model) -> None:
-        """Wait out the window, close the batch, execute, scatter."""
-        while not batch.full.is_set():
-            remaining = batch.deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            batch.full.wait(remaining)
+        """Execute a released batch, scatter, release the next one."""
         with self._lock:
-            batch.closed = True
             if self._pending.get(key) is batch:
-                del self._pending[key]
+                # The window ran out before the running call finished.
+                self._release(key, batch)
             members = list(batch.members)
             self._batches_executed += 1
             self._batch_seq += 1
@@ -419,11 +349,6 @@ class MicroBatcher:
             self._largest_batch_rows = max(
                 self._largest_batch_rows, int(batch.rows)
             )
-            # Queue pressure behind this batch: in-flight requests that
-            # are not its own members (followers of other open batches
-            # or fresh arrivals) drive the adaptive window.
-            depth = max(0, self._inflight - len(members))
-            self._controller.on_flush(len(members), int(batch.rows), depth)
             if self._on_flush is not None:
                 self._on_flush(len(members), int(batch.rows))
         tracing = any(m.trace.enabled for m in members)
@@ -464,6 +389,15 @@ class MicroBatcher:
                     )
                     member.trace.set("batch", batch_meta)
                     member.trace.set_engine(engine)
+            with self._lock:
+                running = self._running[key] - 1
+                if running:
+                    self._running[key] = running
+                else:
+                    del self._running[key]
+                queued = self._pending.get(key)
+                if queued is not None:
+                    self._release(key, queued)
             batch.done.set()
 
     def _execute(self, model, members: List[_Request]) -> None:

@@ -193,19 +193,16 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         replaces it after the fork with one writing its slot of the
         fleet's shared store.
     batch_window:
-        Cap in seconds on how long a small scoring request may wait to
-        be coalesced with concurrent ones into a single engine call
-        (the micro-batcher, :mod:`repro.server.batching`).  ``0`` (the
+        Turns on the micro-batcher (:mod:`repro.server.batching`):
+        small scoring requests that arrive while an engine call for
+        their model is running are coalesced into the next call, and
+        this caps in seconds how long they wait for it.  ``0`` (the
         default) scores every request synchronously.
     max_batch_rows:
         Row bound per micro-batch; requests at or above it bypass
-        coalescing.
-    batch_policy:
-        ``"adaptive"`` (default) lets the effective window float
-        between zero (idle) and ``batch_window`` (saturated) with
-        queue pressure; ``"fixed"`` always waits the full window.
-        The batcher checks all three knobs even when ``batch_window``
-        is ``0``, so a bad value fails construction either way.
+        coalescing.  The batcher checks both knobs even when
+        ``batch_window`` is ``0``, so a bad value fails construction
+        either way.
     max_inflight / max_inflight_per_model / retry_after:
         Admission control (:mod:`repro.server.admission`): scoring
         requests beyond ``max_inflight`` (or a model's quota) are shed
@@ -242,7 +239,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         metrics: Optional[ServerMetrics] = None,
         batch_window: float = 0.0,
         max_batch_rows: Optional[int] = None,
-        batch_policy: str = "adaptive",
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_inflight_per_model: int = 0,
         retry_after: float = DEFAULT_RETRY_AFTER,
@@ -272,7 +268,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
                 model, X, chunk_size=self.chunk_size
             ),
             window=batch_window,
-            policy=batch_policy,
             on_flush=self._record_batch_flush,
             on_execute=self._record_engine_profile,
             **(

@@ -206,7 +206,7 @@ class ServerMetrics:
         """Record one executed micro-batch (fill telemetry).
 
         The batch-fill distribution (how many member requests executed
-        batches coalesce — the adaptive window's effectiveness signal)
+        batches coalesce — how much the micro-batcher amortises)
         and the largest-batch high-water marks; the rest of the
         per-worker detail lives in ``MicroBatcher.stats()``.
         """

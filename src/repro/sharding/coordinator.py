@@ -62,7 +62,7 @@ from repro.serving.stream import (
 #: projection chunk (4096), so block-internal chunk boundaries land on
 #: the same global row multiples as a single box scoring the whole
 #: file; 4 chunks per block keeps per-request overhead amortised while
-#: a 120k-row job still spreads ~30 blocks over a small fleet.
+#: a 120k-row job still spreads 8 blocks over a small fleet.
 DEFAULT_ROWS_PER_BLOCK = 16384
 
 #: Per-request timeout (connect + response) for a shard HTTP call.

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -42,6 +46,26 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["demo", "planets"])
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy.integrate was most of every CLI run's and daemon boot's
+        # import time, for an arc length nothing on those paths needs.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestServeParser:

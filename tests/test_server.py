@@ -786,7 +786,7 @@ class TestServerConstruction:
         [
             {"batch_window": -1.0},
             {"max_batch_rows": 0},
-            {"batch_policy": "psychic"},
+            {"batch_window": float("nan")},
         ],
     )
     def test_batch_knobs_are_checked_with_batching_off(self, knob):

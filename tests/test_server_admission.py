@@ -229,14 +229,12 @@ class TestServeCLIFlags:
             [
                 "serve",
                 "--model", "m=/tmp/m.json",
-                "--batch-policy", "fixed",
                 "--max-inflight", "16",
                 "--max-inflight-per-model", "4",
                 "--retry-after", "2.5",
                 "--keepalive-timeout", "45",
             ]
         )
-        assert args.batch_policy == "fixed"
         assert args.max_inflight == 16
         assert args.max_inflight_per_model == 4
         assert args.retry_after == 2.5
@@ -248,11 +246,21 @@ class TestServeCLIFlags:
         args = build_parser().parse_args(
             ["serve", "--model", "m=/tmp/m.json"]
         )
-        assert args.batch_policy == "adaptive"
         assert args.max_inflight is None  # -> server default
         assert args.max_inflight_per_model == 0
         assert args.retry_after is None  # -> server default
         assert args.keepalive_timeout == 30.0
+
+    def test_batch_policy_flag_exits_2(self, capsys):
+        # Batches form behind the running engine call; there is no
+        # window policy to choose.
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--model", "m=/tmp/m.json",
+                  "--batch-policy", "fixed"])
+        assert exit_info.value.code == 2
+        assert "--batch-policy" in capsys.readouterr().err
 
     def test_tuning_file_flag_exits_2(self, capsys):
         # Knobs are boot flags; no file of knobs is read.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 import warnings
@@ -25,6 +26,7 @@ from repro import RankingPrincipalCurve
 from repro.core.exceptions import ConfigurationError, DataValidationError
 from repro.data.synthetic import sample_monotone_cloud
 from repro.server import MicroBatcher, ModelRegistry, ScoringHTTPServer
+from repro.server import http as http_module
 from repro.serving import save_model, score_batch
 
 ALPHA = np.array([1.0, 1.0, -1.0])
@@ -47,38 +49,78 @@ def fitted():
     return _fit(seed=7)
 
 
+class _FirstCallHeld:
+    """``score_fn`` wrapper whose first call blocks until ``release``.
+
+    The batcher queues every request that arrives while a call for its
+    model runs, so holding the first call lets a test line requests up
+    behind it deterministically instead of racing a timer.
+    """
+
+    def __init__(self, score_fn=score_batch):
+        self._score_fn = score_fn
+        self._lock = threading.Lock()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, model, X, **kwargs):
+        with self._lock:
+            first = not self.entered.is_set()
+            self.entered.set()
+        if first:
+            assert self.release.wait(30), "first call never released"
+        return self._score_fn(model, X, **kwargs)
+
+
+def _await_queue_depth(batcher: MicroBatcher, depth: int) -> None:
+    """Block until ``depth`` callers are inside ``batcher.score``."""
+    deadline = time.monotonic() + 30
+    while batcher.stats()["queue_depth"] < depth:
+        assert time.monotonic() < deadline, batcher.stats()
+        time.sleep(0.001)
+
+
+def _start(call, *slots) -> list:
+    threads = [threading.Thread(target=call, args=(i,)) for i in slots]
+    for t in threads:
+        t.start()
+    return threads
+
+
+def _join(threads, timeout: float = 10) -> None:
+    """Join callers well inside the tests' 30 s windows, so a batch
+    that waited out its window instead of running once the call ahead
+    finished fails the test."""
+    deadline = time.monotonic() + timeout
+    for t in threads:
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads), "caller hung"
+
+
 class TestMicroBatcherUnit:
     def test_concurrent_calls_coalesce_and_match(self, fitted):
-        # policy="fixed": the coalescing guarantee under test needs
-        # every leader to wait the full window, not the adaptive
-        # controller's cold-start zero.
-        batcher = MicroBatcher(
-            score_batch, window=0.5, max_rows=4096, policy="fixed"
-        )
+        # The first caller scores at once and is held there until all
+        # 8 are inside the batcher; the other 7 queue behind it as one
+        # batch, whose shared solve must be invisible.
+        held = _FirstCallHeld()
+        batcher = MicroBatcher(held, window=30.0, max_rows=4096)
         rng = np.random.default_rng(0)
         inputs = [rng.uniform(size=(int(rng.integers(1, 5)), 3))
                   for _ in range(8)]
         expected = [score_batch(fitted, X) for X in inputs]
         results = [None] * len(inputs)
-        barrier = threading.Barrier(len(inputs))
 
         def call(i):
-            barrier.wait()
             results[i] = batcher.score(fitted, inputs[i])
 
-        threads = [
-            threading.Thread(target=call, args=(i,))
-            for i in range(len(inputs))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        threads = _start(call, *range(len(inputs)))
+        _await_queue_depth(batcher, len(inputs))
+        held.release.set()
+        _join(threads)
         stats = batcher.stats()
-        # All 8 calls released within one 500 ms window must have
-        # shared solves — and the shared solve must be invisible.
         assert stats["requests_batched"] == 8
-        assert stats["batches_executed"] < 8
+        assert stats["batches_executed"] == 2
+        assert stats["largest_batch_requests"] == 7
         for got, want in zip(results, expected):
             assert got.tobytes() == want.tobytes()
 
@@ -98,60 +140,60 @@ class TestMicroBatcherUnit:
         assert batcher.stats()["requests_direct"] == 1
 
     def test_full_batch_flushes_before_window(self, fitted):
-        # max_rows=2: the second single-row caller fills the batch, so
-        # the leader must flush long before its 30 s window elapses.
-        batcher = MicroBatcher(
-            score_batch, window=30.0, max_rows=2, policy="fixed"
-        )
+        # max_rows=2: two single-row callers queued behind a held call
+        # fill their batch, so it must execute while the call ahead is
+        # still running, long before its 30 s window elapses.
+        held = _FirstCallHeld()
+        batcher = MicroBatcher(held, window=30.0, max_rows=2)
         X = np.full((1, 3), 0.4)
-        results = [None, None]
+        results = [None, None, None]
 
         def call(i):
             results[i] = batcher.score(fitted, X)
 
-        threads = [
-            threading.Thread(target=call, args=(i,)) for i in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert all(r is not None for r in results), "batch never flushed"
+        holder = _start(call, 0)
+        assert held.entered.wait(30)
+        followers = _start(call, 1, 2)
+        _join(followers)
+        assert results[0] is None, "held call finished early"
+        held.release.set()
+        _join(holder)
         want = score_batch(fitted, X)
         for got in results:
             assert got.tobytes() == want.tobytes()
 
     def test_poisoned_request_fails_alone(self, fitted):
-        batcher = MicroBatcher(score_batch, window=0.4, policy="fixed")
+        held = _FirstCallHeld()
+        batcher = MicroBatcher(held, window=30.0)
         good = np.full((2, 3), 0.3)
         bad = np.array([[np.nan, 0.1, 0.2]])
         outcome = {}
-        barrier = threading.Barrier(3)
+        plan = (("head", good), ("g1", good), ("bad", bad), ("g2", good))
 
-        def call(name, X):
-            barrier.wait()
+        def call(i):
+            name, X = plan[i]
             try:
                 outcome[name] = batcher.score(fitted, X)
             except BaseException as exc:  # noqa: BLE001 - asserted below
                 outcome[name] = exc
 
-        threads = [
-            threading.Thread(target=call, args=(name, X))
-            for name, X in (("g1", good), ("bad", bad), ("g2", good))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        # The NaN request raises exactly what an unbatched call would;
-        # its window-mates score as if it never existed.
+        holder = _start(call, 0)
+        assert held.entered.wait(30)
+        rest = _start(call, 1, 2, 3)
+        _await_queue_depth(batcher, len(plan))
+        held.release.set()
+        _join(holder + rest)
+        # The NaN request shared a batch with g1 and g2; it raises
+        # exactly what an unbatched call would, and its batch-mates
+        # score as if it never existed.
+        assert batcher.stats()["largest_batch_requests"] == 3
         with pytest.raises(DataValidationError) as unbatched:
             score_batch(fitted, bad)
         assert isinstance(outcome["bad"], DataValidationError)
         assert str(outcome["bad"]) == str(unbatched.value)
         want = score_batch(fitted, good)
-        assert outcome["g1"].tobytes() == want.tobytes()
-        assert outcome["g2"].tobytes() == want.tobytes()
+        for name in ("head", "g1", "g2"):
+            assert outcome[name].tobytes() == want.tobytes()
 
     def test_config_validation(self):
         for bad in (-0.1, float("inf"), float("nan")):
@@ -159,32 +201,31 @@ class TestMicroBatcherUnit:
                 MicroBatcher(score_batch, window=bad)
         with pytest.raises(ConfigurationError, match="max_rows"):
             MicroBatcher(score_batch, window=0.1, max_rows=0)
-        with pytest.raises(ConfigurationError, match="policy"):
-            MicroBatcher(score_batch, window=0.1, policy="psychic")
 
     def test_largest_batch_rows_tracked(self, fitted):
         # Regression: stats() reported the largest batch in *requests*
         # but not in *rows*, leaving --max-batch-rows untunable from
-        # telemetry.  Coalesce 2-row + 3-row requests and expect 5.
-        batcher = MicroBatcher(
-            score_batch, window=30.0, max_rows=5, policy="fixed"
-        )
+        # telemetry.  Queue 2-row + 3-row requests behind a held 1-row
+        # call and expect 5.
+        held = _FirstCallHeld()
+        batcher = MicroBatcher(held, window=30.0, max_rows=5)
         rng = np.random.default_rng(3)
-        inputs = [rng.uniform(size=(2, 3)), rng.uniform(size=(3, 3))]
-        results = [None, None]
-        barrier = threading.Barrier(2)
+        inputs = [
+            rng.uniform(size=(1, 3)),
+            rng.uniform(size=(2, 3)),
+            rng.uniform(size=(3, 3)),
+        ]
+        results = [None] * len(inputs)
 
         def call(i):
-            barrier.wait()
             results[i] = batcher.score(fitted, inputs[i])
 
-        threads = [
-            threading.Thread(target=call, args=(i,)) for i in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        holder = _start(call, 0)
+        assert held.entered.wait(30)
+        # 2 + 3 rows fill the queued batch, which executes at once.
+        _join(_start(call, 1, 2))
+        held.release.set()
+        _join(holder)
         stats = batcher.stats()
         assert "largest_batch_rows" in stats
         assert stats["largest_batch_rows"] == 5
@@ -203,33 +244,34 @@ class TestMicroBatcherUnit:
 
         def interrupted_score(model, X):
             calls.append(X.shape[0])
-            raise KeyboardInterrupt()
+            if X.shape[0] > 1:
+                raise KeyboardInterrupt()
+            return np.zeros(X.shape[0])
 
-        batcher = MicroBatcher(
-            interrupted_score, window=30.0, max_rows=2, policy="fixed"
-        )
+        held = _FirstCallHeld(interrupted_score)
+        batcher = MicroBatcher(held, window=30.0, max_rows=2)
         model = object()
-        outcome = [None, None]
-        barrier = threading.Barrier(2)
+        outcome = [None, None, None]
 
         def call(i):
-            barrier.wait()
             try:
                 outcome[i] = batcher.score(model, np.full((1, 3), 0.1))
             except BaseException as exc:  # noqa: BLE001 - asserted below
                 outcome[i] = exc
 
-        threads = [
-            threading.Thread(target=call, args=(i,)) for i in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads), "follower hung"
-        assert len(calls) == 1, f"fallback rescored after interrupt: {calls}"
-        kinds = sorted(type(o).__name__ for o in outcome)
+        holder = _start(call, 0)
+        assert held.entered.wait(30)
+        rest = _start(call, 1, 2)
+        _join(rest)
+        held.release.set()
+        _join(holder)
+        # The two calls queued behind the held one made ONE merged
+        # call, which was interrupted and not rescored; the held call
+        # then scored its row.
+        assert calls == [2, 1], f"fallback rescored after interrupt: {calls}"
+        kinds = sorted(type(o).__name__ for o in outcome[1:])
         assert kinds == ["BatchAbortedError", "KeyboardInterrupt"], kinds
+        assert isinstance(outcome[0], np.ndarray)
 
     def test_keyboard_interrupt_propagates_solo_path(self):
         # Same bug, single-member batch: the solo execute path also
@@ -237,61 +279,9 @@ class TestMicroBatcherUnit:
         def interrupted_score(model, X):
             raise KeyboardInterrupt()
 
-        batcher = MicroBatcher(
-            interrupted_score, window=0.001, policy="fixed"
-        )
+        batcher = MicroBatcher(interrupted_score, window=0.001)
         with pytest.raises(KeyboardInterrupt):
             batcher.score(object(), np.full((1, 3), 0.1))
-
-class TestAdaptiveWindowController:
-    """Deterministic unit coverage of the window feedback loop."""
-
-    def test_starts_at_zero_and_stays_there_when_idle(self):
-        from repro.server.batching import AdaptiveWindowController
-
-        ctl = AdaptiveWindowController(cap=0.05, max_rows=1024)
-        assert ctl.window() == 0.0
-        for _ in range(20):  # lonely single-request flushes
-            ctl.on_flush(1, 3, 0)
-        assert ctl.window() == 0.0
-
-    def test_grows_to_cap_under_pressure_then_collapses(self):
-        from repro.server.batching import AdaptiveWindowController
-
-        ctl = AdaptiveWindowController(cap=0.064, max_rows=1024)
-        # Multi-member flushes: seed at cap/64 and double to the cap.
-        ctl.on_flush(4, 12, 0)
-        assert ctl.window() == pytest.approx(0.001)
-        for _ in range(10):
-            ctl.on_flush(4, 12, 0)
-        assert ctl.window() == pytest.approx(0.064)
-        # Queue depth alone (single-member flush, requests waiting
-        # behind it) also counts as pressure.
-        ctl2 = AdaptiveWindowController(cap=0.064, max_rows=1024)
-        ctl2.on_flush(1, 3, depth=2)
-        assert ctl2.window() > 0.0
-        # Full-by-rows flushes count as pressure too.
-        ctl3 = AdaptiveWindowController(cap=0.064, max_rows=8)
-        ctl3.on_flush(1, 8, 0)
-        assert ctl3.window() > 0.0
-        # The spike passes: lonely flushes halve it back and it snaps
-        # to exactly zero (not epsilon) below cap/1024.
-        for _ in range(30):
-            ctl.on_flush(1, 3, 0)
-        assert ctl.window() == 0.0
-
-    def test_adaptive_batcher_reports_controller_state(self, fitted):
-        batcher = MicroBatcher(score_batch, window=0.05)  # adaptive
-        stats = batcher.stats()
-        assert stats["policy"] == "adaptive"
-        assert stats["window_ms"] == 50.0
-        assert stats["current_window_ms"] == 0.0  # idle -> no wait
-        assert stats["queue_depth"] == 0
-        # An idle adaptive batcher scores with zero added latency and
-        # still returns byte-identical results.
-        X = np.full((2, 3), 0.3)
-        got = batcher.score(fitted, X)
-        assert got.tobytes() == score_batch(fitted, X).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +299,11 @@ def _post_raw(base: str, path: str, data: bytes) -> tuple[int, bytes]:
             return response.status, response.read()
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read()
+
+
+def _metrics(base: str) -> dict:
+    with urllib.request.urlopen(base + "/metrics", timeout=10) as response:
+        return json.loads(response.read())
 
 
 def _random_request(rng: np.random.Generator, model_names) -> tuple[str, bytes]:
@@ -344,19 +339,11 @@ class TestBatchedResponsesByteIdentical:
 
     @pytest.fixture(
         scope="class",
-        params=[
-            (0.02, None, "adaptive"),
-            (0.02, None, "fixed"),
-            (0.05, 8, "adaptive"),
-        ],
-        ids=[
-            "window20ms-adaptive",
-            "window20ms-fixed",
-            "window50ms-maxrows8-adaptive",
-        ],
+        params=[(0.02, None), (0.05, 8)],
+        ids=["window20ms", "window50ms-maxrows8"],
     )
     def server_pair(self, request, tmp_path_factory):
-        window, max_rows, policy = request.param
+        window, max_rows = request.param
         root = tmp_path_factory.mktemp("batching")
         names = []
         registries = []
@@ -377,7 +364,6 @@ class TestBatchedResponsesByteIdentical:
                 registry,
                 batch_window=batch_window,
                 max_batch_rows=max_rows,
-                batch_policy=policy,
             )
             threading.Thread(
                 target=server.serve_forever, daemon=True
@@ -435,14 +421,40 @@ class TestBatchedResponsesByteIdentical:
                 assert st_b == st_r, (slot, k, body_b, body_r)
                 assert body_b == body_r, (slot, k, plans[slot][k][0])
 
-    def test_batching_actually_happened(self, server_pair):
-        """Guard against the property passing because batching was off."""
-        batched_base, _, _ = server_pair
-        with urllib.request.urlopen(
-            batched_base + "/metrics", timeout=10
-        ) as response:
-            snap = json.loads(response.read())
-        stats = snap["micro_batcher"]
+    def test_batching_actually_happened(self, server_pair, monkeypatch):
+        """Guard against the property passing because batching was off.
+
+        Four concurrent requests, the first held in the engine until
+        all four have entered the batcher: the other three queue behind
+        it and share one engine call, provided they all arrive within
+        one window of the first of them.  (Entries are counted, not
+        ``queue_depth`` sampled: the window may release the three
+        before a poll sees all four in flight.)
+        """
+        batched_base, _, names = server_pair
+        held = _FirstCallHeld(http_module.score_batch)
+        monkeypatch.setattr(http_module, "score_batch", held)
+        n_requests = 4
+        path = f"/v1/models/{names[0]}/score"
+        data = json.dumps({"row": [0.2, 0.5, 0.8]}).encode()
+        statuses: list = [None] * n_requests
+
+        def entered() -> int:
+            return _metrics(batched_base)["micro_batcher"]["requests_batched"]
+
+        def client(slot: int) -> None:
+            statuses[slot] = _post_raw(batched_base, path, data)[0]
+
+        target = entered() + n_requests
+        threads = _start(client, *range(n_requests))
+        deadline = time.monotonic() + 30
+        while entered() < target:
+            assert time.monotonic() < deadline, "requests never entered"
+            time.sleep(0.005)
+        held.release.set()
+        _join(threads)
+        assert statuses == [200] * n_requests
+        stats = _metrics(batched_base)["micro_batcher"]
         assert stats["requests_batched"] > 0
         assert stats["batches_executed"] < stats["requests_batched"]
         assert stats["largest_batch_requests"] >= 2
