@@ -206,19 +206,19 @@ def fitted_model(projection_workload):
 
 
 def test_score_batch_chunked_overhead(
-    projection_workload, fitted_model, benchmark
+    projection_workload, fitted_model, benchmark, monkeypatch
 ):
     """Chunked scoring costs only per-chunk dispatch, not extra math."""
-    from repro.serving import score_batch
+    from repro.serving import batch, score_batch
 
     _, X_unit = projection_workload
     model = fitted_model
 
-    t_one_shot = _best_of(
-        lambda: score_batch(model, X_unit, chunk_size=N_OBJECTS)
-    )
-    t_chunked = _best_of(lambda: score_batch(model, X_unit, chunk_size=1024))
-    benchmark(lambda: score_batch(model, X_unit, chunk_size=1024))
+    monkeypatch.setattr(batch, "DEFAULT_CHUNK_SIZE", N_OBJECTS)
+    t_one_shot = _best_of(lambda: score_batch(model, X_unit))
+    monkeypatch.setattr(batch, "DEFAULT_CHUNK_SIZE", 1024)
+    t_chunked = _best_of(lambda: score_batch(model, X_unit))
+    benchmark(lambda: score_batch(model, X_unit))
     # Each chunk pays a fixed solver-iteration cost, so small chunks are
     # proportionally slower; at 1024 rows the dispatch overhead stays
     # well under the 2.5x band even on slow boxes (locally ~1.6x).

@@ -5,10 +5,11 @@ A fitted Ranking Principal Curve is a tiny object, but the inputs it
 scores need not be.  This example walks the three streaming termini on
 a gzipped CSV, with every knob that bounds memory spelled out:
 
-1. ``stream_score_csv`` — scores in *input* order, ``O(chunk_size)``
-   rows resident.  Use it when a downstream system does the ordering.
+1. ``stream_score_csv`` — scores in *input* order, one scoring chunk
+   (``repro.serving.DEFAULT_CHUNK_SIZE``, 4096 rows) resident.  Use it
+   when a downstream system does the ordering.
 2. ``stream_rank_topk`` — the best ``k`` rows via a bounded heap,
-   ``O(chunk_size + k)`` resident.  Use it for leaderboards.
+   one chunk plus ``k`` rows resident.  Use it for leaderboards.
 3. ``stream_rank_csv`` — the **complete** ranking via an external
    merge sort: scored chunks spill to sorted run files whenever more
    than ``memory_budget_rows`` rows are buffered, and a k-way merge
@@ -24,7 +25,7 @@ always ranks through ``stream_rank_csv``)::
         --memory-budget-rows 100000 --output ranking.csv
 
 Memory model of the full-ranking path: peak resident rows =
-``chunk_size`` (scoring buffer) + ``memory_budget_rows``
+``DEFAULT_CHUNK_SIZE`` (scoring buffer) + ``memory_budget_rows``
 (sorter buffer), plus ``max_open_runs`` open files during the merge;
 spill files live in a temp directory that is removed on success,
 error and Ctrl-C alike.
@@ -98,13 +99,13 @@ def main() -> None:
     save_model(model, model_path, feature_names=table.attribute_names)
     print(f"fitted on a {sample.shape[0]}-row sample, saved {model_path}")
 
-    # 1. Scores in input order, O(chunk_size) resident.
+    # 1. Scores in input order, one scoring chunk resident.
     scores_csv = workdir / "scores.csv"
-    n = stream_score_csv(model, big_csv, scores_csv, chunk_size=512)
+    n = stream_score_csv(model, big_csv, scores_csv)
     print(f"\n[stream_score_csv] scored {n} rows -> {scores_csv}")
 
     # 2. Leaderboard: best 5 via a bounded heap.
-    top, _ = stream_rank_topk(model, big_csv, k=5, chunk_size=512)
+    top, _ = stream_rank_topk(model, big_csv, k=5)
     print("[stream_rank_topk] top 5 of the stream:")
     for label, score in top:
         print(f"  {score:.4f}  {label}")
@@ -116,7 +117,6 @@ def main() -> None:
         model,
         big_csv,
         ranking_csv,
-        chunk_size=512,
         memory_budget_rows=MEMORY_BUDGET_ROWS,
         head=3,
     )

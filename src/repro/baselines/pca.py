@@ -24,6 +24,7 @@ from repro.core.exceptions import (
 )
 from repro.data.normalize import MinMaxNormalizer
 from repro.geometry.cubic import validate_direction_vector
+from repro.linalg.rowwise import row_invariant_product
 
 
 class FirstPCARanker:
@@ -65,7 +66,7 @@ class FirstPCARanker:
             raise NotFittedError("FirstPCARanker")
         X = self._validate(X)
         U = self._normalizer.transform(X)
-        return (U - self.mean_) @ self.direction_
+        return row_invariant_product(U - self.mean_, self.direction_)
 
     def explained_variance(self, X: np.ndarray) -> float:
         """Variance fraction captured by the component line."""
@@ -156,14 +157,17 @@ class KernelPCARanker:
 
     # ------------------------------------------------------------------
     def _kernel_matrix(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        # Row-invariant product: a scored row's kernel values must not
+        # depend on how many rows were scored with it.
+        AB = row_invariant_product(A, B.T)
         if self.kernel == "rbf":
             d2 = (
                 np.sum(A**2, axis=1)[:, np.newaxis]
-                - 2.0 * A @ B.T
+                - 2.0 * AB
                 + np.sum(B**2, axis=1)[np.newaxis, :]
             )
             return np.exp(-self.gamma * np.maximum(d2, 0.0))
-        return (1.0 + A @ B.T) ** self.degree
+        return (1.0 + AB) ** self.degree
 
     def fit(self, X: np.ndarray) -> "KernelPCARanker":
         """Centre the training kernel and extract the leading component."""
@@ -206,7 +210,7 @@ class KernelPCARanker:
             - self._row_means[np.newaxis, :]
             + self._total_mean
         )
-        return centred @ self._component
+        return row_invariant_product(centred, self._component)
 
     # ------------------------------------------------------------------
     # Meta-rule capability declarations

@@ -22,6 +22,7 @@ from repro.core.exceptions import (
 )
 from repro.data.normalize import MinMaxNormalizer
 from repro.geometry.cubic import validate_direction_vector
+from repro.linalg.rowwise import row_invariant_product
 
 
 class WeightedSumRanker:
@@ -80,7 +81,7 @@ class WeightedSumRanker:
         X = self._validate(X)
         U = self._normalizer.transform(X)
         oriented = np.where(self.alpha > 0, U, 1.0 - U)
-        return oriented @ self.weights
+        return row_invariant_product(oriented, self.weights)
 
     # ------------------------------------------------------------------
     # Meta-rule capability declarations

@@ -164,12 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=10, help="rows to print (default 10)"
     )
     score.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="rows per projection chunk (default 4096)",
-    )
-    score.add_argument(
         "--top-k",
         type=int,
         default=None,
@@ -278,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         "must be > 0 (default 30)",
     )
     serve.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="rows per projection chunk (default 4096)",
-    )
-    serve.add_argument(
         "--no-reload",
         action="store_true",
         help="disable hot-reloading models when their file changes",
@@ -389,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="rows_per_block",
         metavar="N",
         help="rows per shard block — the retry/exactly-once unit "
-        "(default 16384; keep it a multiple of the daemons' "
-        "--chunk-size so chunk boundaries match a single box)",
+        "(default 16384); any value gives the single-box output",
     )
     shard.add_argument("--label-column", default=None)
     shard.add_argument(
@@ -573,7 +560,6 @@ def _run_score(args: argparse.Namespace) -> int:
             model,
             args.csv_path,
             args.top_k,
-            chunk_size=args.chunk_size,
             label_column=args.label_column,
         )
         print(
@@ -599,7 +585,6 @@ def _run_score(args: argparse.Namespace) -> int:
         model,
         args.csv_path,
         args.output,
-        chunk_size=args.chunk_size,
         label_column=args.label_column,
         memory_budget_rows=args.memory_budget_rows,
         head=max(args.top, 0),
@@ -672,7 +657,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     server = ScoringHTTPServer(
         (args.host, args.port),
         registry,
-        chunk_size=args.chunk_size,
         batch_window=args.batch_window_ms / 1e3,
         max_batch_rows=args.max_batch_rows,
         max_inflight=(

@@ -11,12 +11,12 @@ family must satisfy to flow through those layers instead:
     reports in ``GET /v1/models``; ``format_version`` versions the
     family's payload schema so old files fail loudly, not wrongly.
 
-``fit(X)`` / ``score_samples(X)`` / ``score_batch(X, ...)``
+``fit(X)`` / ``score_samples(X)``
     The scoring surface.  ``score_samples`` is the exact per-row scorer
     (rank-compatible: higher score = better object, the convention
-    every ranking list in this repo is built on); ``score_batch`` is
-    the bounded-memory serving entry point with the ``chunk_size``
-    signature the daemon calls.
+    every ranking list in this repo is built on);
+    :func:`repro.serving.score_batch` wraps it in bounded memory for
+    every serving path.
 
 ``to_payload()`` / ``from_payload(payload)``
     Exact persistence.  ``to_payload`` returns a JSON-serialisable dict
@@ -71,12 +71,6 @@ class ScorableModel(Protocol):
     def fit(self, X: np.ndarray) -> "ScorableModel": ...
 
     def score_samples(self, X: np.ndarray) -> np.ndarray: ...
-
-    def score_batch(
-        self,
-        X: np.ndarray,
-        chunk_size: Optional[int] = None,
-    ) -> np.ndarray: ...
 
     @property
     def is_fitted(self) -> bool: ...

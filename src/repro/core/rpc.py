@@ -282,23 +282,6 @@ class RankingPrincipalCurve:
             engine=self._projection_engine(result.curve),
         )
 
-    def score_batch(
-        self,
-        X: np.ndarray,
-        chunk_size: Optional[int] = None,
-    ) -> np.ndarray:
-        """Chunked, bounded-memory scoring of arbitrarily large inputs.
-
-        Equivalent to :meth:`score_samples` but processes ``X`` in
-        chunks of ``chunk_size`` rows so peak memory stays bounded by
-        the chunk (the projection step materialises an
-        ``(n, n_grid)`` distance matrix).  See
-        :func:`repro.serving.batch.score_batch` for details.
-        """
-        from repro.serving.batch import score_batch as _score_batch
-
-        return _score_batch(self, X, chunk_size=chunk_size)
-
     def rank(
         self, X: np.ndarray, labels: Optional[Sequence[str]] = None
     ) -> RankingList:

@@ -89,19 +89,6 @@ class ModelAdapter:
             )
         return np.asarray(self.model.score_samples(X), dtype=float)
 
-    def score_batch(
-        self,
-        X: np.ndarray,
-        chunk_size: Optional[int] = None,
-    ) -> np.ndarray:
-        """Serving entry point with the daemon's uniform signature."""
-        # Imported lazily: repro.serving's persistence module imports
-        # repro.families for payload dispatch, so a module-level import
-        # here would be circular.
-        from repro.serving.batch import score_batch
-
-        return score_batch(self, X, chunk_size=chunk_size)
-
     # ------------------------------------------------------------------
     # State hooks
     # ------------------------------------------------------------------

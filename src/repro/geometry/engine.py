@@ -45,24 +45,8 @@ from repro.linalg.closedform import closed_form_stationary_roots
 from repro.linalg.golden_section import golden_section_search_batch
 from repro.linalg.horner import horner_batch, horner_pointwise
 from repro.linalg.polyroots import batched_minimize_on_interval
+from repro.linalg.rowwise import row_invariant_product
 from repro.obs.engineprof import current as _active_profile
-
-
-def _row_invariant_product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``X @ B`` with per-row bits independent of ``X``'s row count.
-
-    BLAS picks different kernels (gemv vs gemm, different blocking) for
-    different ``M``, so ``(X @ B)[i]`` can differ in the last ulp
-    between a 1-row and an n-row call — which would leak through the
-    compiled coefficients and break the serving contract that scoring
-    is bit-identical however rows are chunked or micro-batched.
-    Unoptimized ``einsum`` reduces each output element over the (tiny)
-    contracted axis in a fixed order, independent of the row count;
-    the contracted dimension here is ``d`` or ``k + 1``, small enough
-    that the BLAS advantage is a few hundred microseconds per 4096-row
-    chunk — noise next to the solver iterations it feeds.
-    """
-    return np.einsum("ij,jk->ik", X, B)
 
 
 def curve_self_product_coefficients(C: np.ndarray) -> np.ndarray:
@@ -95,7 +79,7 @@ def squared_distance_coefficients(
     if ff is None:
         ff = curve_self_product_coefficients(C)
     coeffs = np.tile(ff, (X.shape[0], 1))
-    coeffs[:, : k + 1] -= 2.0 * _row_invariant_product(X, C)
+    coeffs[:, : k + 1] -= 2.0 * row_invariant_product(X, C)
     coeffs[:, 0] += np.sum(X**2, axis=1)
     return coeffs
 
@@ -206,7 +190,7 @@ class CompiledProjection:
         on the grid from its power coefficients — one fused product
         over the ambient dimension instead of ``2k`` Horner passes
         over all ``n * g`` entries (row-invariant by construction, see
-        :func:`_row_invariant_product`).
+        :func:`~repro.linalg.rowwise.row_invariant_product`).
         """
         grid = np.asarray(grid, dtype=float).ravel()
         if self._X is None or self._C is None:
@@ -219,7 +203,7 @@ class CompiledProjection:
         F = self._C @ Z  # (d, g) — no data rows involved, BLAS is fine
         return (
             self._sqnorm[:, np.newaxis]
-            - 2.0 * _row_invariant_product(self._X, F)
+            - 2.0 * row_invariant_product(self._X, F)
             + np.sum(F**2, axis=0)[np.newaxis, :]
         )
 

@@ -15,6 +15,8 @@ model:
   ``"roots"`` projection.
 * :mod:`repro.linalg.closedform` — the closed-form stationary roots
   the ``"roots"`` projection runs on.
+* :mod:`repro.linalg.rowwise` — the data-row products every pointwise
+  scorer takes, bit-stable however the rows are chunked.
 * :mod:`repro.linalg.pseudoinverse` — the closed-form ``P = X (MZ)^+``
   update of Eq.(26) with conditioning diagnostics.
 """

@@ -31,10 +31,10 @@ Micro-batching is invisible in the responses, bit for bit:
   so a row's score does not depend on which other rows share its
   solve.  Concatenating requests therefore returns byte-identical
   scores to scoring each request alone — pinned by the randomized
-  suite in ``tests/test_server_batching.py``.  Adapted families are
-  per-row in exact arithmetic too; their BLAS matmuls are not
-  bit-stable across batch shapes, so coalescing may move their scores
-  at the last-ulp level (never beyond).
+  suite in ``tests/test_server_batching.py``.  The other pointwise
+  families take their products over data rows in a fixed order too
+  (:mod:`repro.linalg.rowwise`); ``tests/test_families.py`` pins every
+  family bit-identical under any chunking.
 * Requests are only merged when they share the model *object* (a hot
   reload mid-queue splits batches, never mixes models), the model's
   *family* (mixed-family traffic batches safely — an rpc request can
@@ -130,8 +130,7 @@ class MicroBatcher:
     ----------
     score_fn:
         ``score_fn(model, X) -> scores`` — the underlying scoring call
-        (the daemon passes :func:`~repro.serving.batch.score_batch`
-        closed over its chunk/thread settings).
+        (the daemon passes :func:`~repro.serving.batch.score_batch`).
     window:
         Cap in seconds on how long a batch waits behind the running
         call for its key.  ``0`` disables batching: every call runs

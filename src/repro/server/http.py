@@ -106,7 +106,7 @@ from repro.server.admission import (
 from repro.server.batching import MicroBatcher
 from repro.server.metrics import ServerMetrics
 from repro.server.registry import ModelRegistry, UnknownModelError
-from repro.serving.batch import _validate_chunk_size, score_batch
+from repro.serving.batch import score_batch
 from repro.serving.extsort import pack_run_bytes
 
 #: ``/v1/models/<name>/score``, ``.../rank`` and ``.../rank-shard``.
@@ -184,9 +184,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         chosen one is in ``server_address`` — handy for tests).
     registry:
         The models to serve; may be hot-reloaded while running.
-    chunk_size:
-        Rows per projection chunk for batch bodies (``None`` uses the
-        :mod:`repro.serving.batch` default).
     metrics:
         Optional :class:`ServerMetrics`; a fresh one (over a one-slot
         in-memory store) otherwise.  A :mod:`repro.server.pool` worker
@@ -235,7 +232,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         self,
         address: Tuple[str, int],
         registry: ModelRegistry,
-        chunk_size: Optional[int] = None,
         metrics: Optional[ServerMetrics] = None,
         batch_window: float = 0.0,
         max_batch_rows: Optional[int] = None,
@@ -249,7 +245,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         # Fail fast on misconfiguration: a daemon that boots "healthy"
         # and then 400s every scoring request blames the client for an
         # operator mistake.  Validate before binding the socket.
-        _validate_chunk_size(chunk_size)
         _validate_keepalive_timeout(keepalive_timeout)
         if int(listen_backlog) < 1:
             raise ConfigurationError(
@@ -262,11 +257,10 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         )
         # Every request scores through the batcher, which scores
         # synchronously while its window is 0.  ``batcher`` publishes it
-        # to ``/metrics`` only when batching is on.
+        # to ``/metrics`` only when batching is on.  The lambda looks
+        # ``score_batch`` up per call, so a patched one takes effect.
         self._batcher = MicroBatcher(
-            lambda model, X: score_batch(
-                model, X, chunk_size=self.chunk_size
-            ),
+            lambda model, X: score_batch(model, X),
             window=batch_window,
             on_flush=self._record_batch_flush,
             on_execute=self._record_engine_profile,
@@ -282,7 +276,6 @@ class ScoringHTTPServer(ThreadingHTTPServer):
         self.request_queue_size = int(listen_backlog)
         super().__init__(address, ScoringRequestHandler)
         self.registry = registry
-        self.chunk_size = chunk_size
         self.metrics = metrics if metrics is not None else ServerMetrics()
         #: The pool worker's slot number, stamped after the fork;
         #: ``None`` in a single-process daemon.  Gates the pool-only

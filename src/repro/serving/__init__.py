@@ -13,10 +13,10 @@ halves of that workflow:
   manifest directory (``manifest.json`` plus artifact shards).
   Round-trips are exact: a reloaded model scores bit-identically to
   the in-memory original.
-* :mod:`repro.serving.batch` — ``score_batch(model, X, chunk_size=...)``
-  scores arbitrarily large inputs in bounded memory by chunking the
+* :mod:`repro.serving.batch` — ``score_batch(model, X)`` scores
+  arbitrarily large inputs in bounded memory by chunking the
   vectorised projection step (which materialises an ``(n, n_grid)``
-  distance matrix), plus a generator variant for streaming pipelines.
+  distance matrix) at a fixed chunk that never changes a score.
 * :mod:`repro.serving.stream` — incremental CSV scoring: lazily parse
   rows, buffer them into chunks, score each chunk and write results
   out, so ``repro score`` never materialises its input.
@@ -41,7 +41,7 @@ Quickstart
 >>> model = RankingPrincipalCurve(alpha=[1, 1], random_state=0).fit(X)
 >>> _ = save_model(model, "/tmp/rpc_model.json")
 >>> served = load_model("/tmp/rpc_model.json")
->>> scores = score_batch(served, X, chunk_size=64)
+>>> scores = score_batch(served, X)
 >>> bool(np.array_equal(scores, model.score_samples(X)))
 True
 
@@ -52,11 +52,7 @@ The CLI exposes the same workflow end-to-end::
     python -m repro score m.json fresh.csv --output ranking.csv
 """
 
-from repro.serving.batch import (
-    DEFAULT_CHUNK_SIZE,
-    iter_score_chunks,
-    score_batch,
-)
+from repro.serving.batch import DEFAULT_CHUNK_SIZE, score_batch
 from repro.serving.extsort import (
     DEFAULT_MAX_OPEN_RUNS,
     DEFAULT_MEMORY_BUDGET_ROWS,
@@ -94,7 +90,6 @@ __all__ = [
     "is_manifest_path",
     "iter_csv_chunks",
     "iter_csv_rows",
-    "iter_score_chunks",
     "iter_stream_scores",
     "load_manifest",
     "load_model",

@@ -4,8 +4,9 @@
 ``(n, d)`` matrix before anything is scored — fine for the paper's
 hundreds of rows, wrong for a serving pipeline fed multi-gigabyte
 exports.  This module is the streaming counterpart: rows flow through a
-fixed-size buffer, so peak memory is ``O(chunk_size * d)`` no matter
-how long the file is.
+fixed-size buffer of :data:`~repro.serving.batch.DEFAULT_CHUNK_SIZE`
+rows, so peak memory is ``O(DEFAULT_CHUNK_SIZE * d)`` no matter how
+long the file is.
 
 The pipeline has three small stages, each usable on its own:
 
@@ -27,15 +28,13 @@ The pipeline has three small stages, each usable on its own:
    (``repro score``), so even a full ordering never buffers more than
    ``memory_budget_rows`` rows.
 
-Chunk boundaries here are the same multiples of ``chunk_size`` that
-:func:`~repro.serving.batch.score_batch` uses, so the streamed scores
-are bit-identical to ``score_batch(model, load_csv(path).X,
-chunk_size)`` — asserted in ``tests/test_serving_stream.py``.  (Scores
-across *different* chunkings agree to float precision, not bit-for-bit:
-the vectorised GSS loop iterates until every row in the chunk
-converges.)  ``repro score`` rides this pipeline, and its ranking file
-is byte-identical to the in-memory library ranking (``score_batch`` ->
-``build_ranking_list`` -> ``save_ranking_csv``) at the same chunk size.
+A row's score depends only on that row, bit for bit (see
+:mod:`repro.serving.batch`), so the streamed scores are bit-identical
+to ``score_batch(model, load_csv(path).X)`` whatever the chunking —
+asserted in ``tests/test_serving_stream.py``.  ``repro score`` rides
+this pipeline, and its ranking file is byte-identical to the
+in-memory library ranking (``score_batch`` -> ``build_ranking_list``
+-> ``save_ranking_csv``).
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from typing import IO, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError, DataValidationError
-from repro.core.rpc import RankingPrincipalCurve
+from repro.core.model_api import ScorableModel
 from repro.core.scoring import rank_entry_key
 from repro.data.loaders import TabularData, iter_csv_tables
 from repro.linalg.backend import resolve_backend
@@ -138,16 +137,23 @@ def iter_csv_chunks(
     """Parse a CSV into :class:`TabularData` chunks of ``chunk_size`` rows.
 
     Every chunk except possibly the last holds exactly ``chunk_size``
-    rows (``None`` uses the batch-scoring default); each is parsed in
+    rows (``None`` uses
+    :data:`~repro.serving.batch.DEFAULT_CHUNK_SIZE`); each is parsed in
     one step by :func:`~repro.data.loaders.iter_csv_tables`.  A file
     with a header but no data rows raises :class:`DataValidationError`,
     the same contract as :func:`load_csv`.
     """
-    from repro.serving.batch import _validate_chunk_size
+    from repro.serving import batch
 
+    if chunk_size is None:
+        chunk_size = batch.DEFAULT_CHUNK_SIZE
+    elif int(chunk_size) < 1:
+        raise ConfigurationError(
+            f"chunk_size must be >= 1, got {chunk_size}"
+        )
     yield from iter_csv_tables(
         path,
-        chunk_size=_validate_chunk_size(chunk_size),
+        chunk_size=int(chunk_size),
         label_column=label_column,
         attribute_columns=attribute_columns,
         delimiter=delimiter,
@@ -155,9 +161,8 @@ def iter_csv_chunks(
 
 
 def iter_stream_scores(
-    model: RankingPrincipalCurve,
+    model: ScorableModel,
     path: str | pathlib.Path,
-    chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
 ) -> Iterator[Tuple[List[str], np.ndarray]]:
@@ -174,17 +179,17 @@ def iter_stream_scores(
     the whole file is parsed as one table and scored in one call — the
     rule :func:`~repro.serving.batch.score_batch` applies in memory.
     """
-    from repro.serving.batch import _validate_chunk_size, score_batch
+    # Looked up at call time, so a patched score_batch takes effect.
+    from repro.serving.batch import score_batch
 
     path = pathlib.Path(path)
-    chunk_size = _validate_chunk_size(chunk_size)
     columns = dict(
         label_column=label_column,
         attribute_columns=model.feature_names_,
         delimiter=delimiter,
     )
     if getattr(model, "pointwise_scores", True):
-        chunks = iter_csv_chunks(path, chunk_size=chunk_size, **columns)
+        chunks = iter_csv_chunks(path, **columns)
     else:
         chunks = iter_csv_tables(path, chunk_size=None, **columns)
     for chunk in chunks:
@@ -194,14 +199,13 @@ def iter_stream_scores(
                 f"model expects {expected} attributes but "
                 f"{path} provides {chunk.X.shape[1]}"
             )
-        yield chunk.labels, score_batch(model, chunk.X, chunk_size=chunk_size)
+        yield chunk.labels, score_batch(model, chunk.X)
 
 
 def stream_score_csv(
-    model: RankingPrincipalCurve,
+    model: ScorableModel,
     csv_path: str | pathlib.Path,
     output_path: str | pathlib.Path,
-    chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
     backend=None,
@@ -233,7 +237,6 @@ def stream_score_csv(
         for labels, scores in iter_stream_scores(
             model,
             csv_path,
-            chunk_size=chunk_size,
             label_column=label_column,
             delimiter=delimiter,
         ):
@@ -243,10 +246,9 @@ def stream_score_csv(
 
 
 def stream_rank_topk(
-    model: RankingPrincipalCurve,
+    model: ScorableModel,
     csv_path: str | pathlib.Path,
     k: int,
-    chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
 ) -> Tuple[List[Tuple[str, float]], int]:
@@ -257,7 +259,7 @@ def stream_rank_topk(
     this keeps only the current ``k`` best ``(score, label)`` entries
     in a :mod:`heapq` min-heap while chunks flow through, so the full
     ranking list is never materialised — peak memory is
-    ``O(chunk_size * d + k)`` however long the file is.
+    ``O(DEFAULT_CHUNK_SIZE * d + k)`` however long the file is.
 
     Ordering matches :func:`~repro.core.scoring.build_ranking_list`
     exactly: higher scores rank first, and exact score ties break
@@ -268,7 +270,7 @@ def stream_rank_topk(
     Parameters
     ----------
     model:
-        A fitted :class:`RankingPrincipalCurve`.
+        A fitted :class:`~repro.core.model_api.ScorableModel`.
     csv_path:
         Input CSV (``.gz`` accepted) of objects to rank.
     k:
@@ -276,7 +278,7 @@ def stream_rank_topk(
         (and counts) every row but keeps none; ``k`` beyond the row
         count returns the complete ranking — both are exactly
         ``build_ranking_list(all_scores, labels).top(k)``.
-    chunk_size, label_column, delimiter:
+    label_column, delimiter:
         As in :func:`iter_stream_scores`.
 
     Returns
@@ -300,7 +302,6 @@ def stream_rank_topk(
     for labels, scores in iter_stream_scores(
         model,
         csv_path,
-        chunk_size=chunk_size,
         label_column=label_column,
         delimiter=delimiter,
     ):
@@ -323,10 +324,9 @@ def stream_rank_topk(
 
 
 def stream_rank_csv(
-    model: RankingPrincipalCurve,
+    model: ScorableModel,
     csv_path: str | pathlib.Path,
     output_path: Optional[str | pathlib.Path] = None,
-    chunk_size: Optional[int] = None,
     label_column: Optional[str] = None,
     delimiter: str = ",",
     backend=None,
@@ -347,13 +347,13 @@ def stream_rank_csv(
     :func:`~repro.data.loaders.save_ranking_csv` — same scores, same
     stable tie-breaks (via the shared
     :func:`~repro.core.scoring.rank_entry_key`) — while peak memory
-    stays ``O(chunk_size * d + memory_budget_rows)`` however
+    stays ``O(DEFAULT_CHUNK_SIZE * d + memory_budget_rows)`` however
     long the file is.
 
     Parameters
     ----------
     model:
-        A fitted :class:`RankingPrincipalCurve`.
+        A fitted :class:`~repro.core.model_api.ScorableModel`.
     csv_path:
         Input CSV (``.gz`` accepted) of objects to rank.
     output_path:
@@ -362,7 +362,7 @@ def stream_rank_csv(
         renamed into place on success (a failed merge leaves no torn
         output); ``None`` skips the file (useful when only the
         returned ``head`` is wanted).
-    chunk_size, label_column, delimiter:
+    label_column, delimiter:
         As in :func:`iter_stream_scores`.
     backend:
         Checked by :func:`~repro.linalg.backend.resolve_backend` and
@@ -395,7 +395,6 @@ def stream_rank_csv(
         for labels, scores in iter_stream_scores(
             model,
             csv_path,
-            chunk_size=chunk_size,
             label_column=label_column,
             delimiter=delimiter,
         ):

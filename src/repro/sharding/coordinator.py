@@ -58,10 +58,9 @@ from repro.serving.stream import (
 )
 
 #: Rows per block — the retry/exactly-once unit and the granularity of
-#: the round-robin split.  A multiple of the daemon's default
-#: projection chunk (4096), so block-internal chunk boundaries land on
-#: the same global row multiples as a single box scoring the whole
-#: file; 4 chunks per block keeps per-request overhead amortised while
+#: the round-robin split.  A row's score does not depend on the rows
+#: scored with it, so any block size reproduces a single box; 4
+#: scoring chunks per block keeps per-request overhead amortised while
 #: a 120k-row job still spreads 8 blocks over a small fleet.
 DEFAULT_ROWS_PER_BLOCK = 16384
 

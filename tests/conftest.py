@@ -60,3 +60,19 @@ def s_shape_curve():
         p1=np.array([0.1, 0.6]),
         p2=np.array([0.9, 0.4]),
     )
+
+
+@pytest.fixture
+def scoring_chunk(monkeypatch):
+    """Setter for the fixed scoring chunk, undone after the test.
+
+    ``repro.serving.batch.DEFAULT_CHUNK_SIZE`` is read at call time and
+    never changes a score; tests shrink it only to reach multi-chunk
+    paths on small inputs.
+    """
+    from repro.serving import batch
+
+    def set_chunk(rows: int) -> None:
+        monkeypatch.setattr(batch, "DEFAULT_CHUNK_SIZE", rows)
+
+    return set_chunk

@@ -7,7 +7,9 @@ Run from the repository root::
 The fixture pins, as ``float.hex`` strings, the scores of every
 ``project_points`` method x cold/warm combination on a seeded degree-3
 curve in four dimensions, plus ``score_batch`` on a model fitted to the
-bundled countries data.  Each projection is stored under two solver
+bundled countries data, scored in chunks of ``BATCH_CHUNK`` rows (the
+test scores at the fixed default chunk, so it also pins that chunking
+never moves a bit).  Each projection is stored under two solver
 keys: ``closed-form`` (the runtime path) and ``numpy`` (for ``"roots"``
 the stacked-eigvals oracle; for ``gss`` and ``newton``, which never
 solve for roots, a copy of the runtime scores).
@@ -34,6 +36,7 @@ from repro.data import load_countries
 from repro.geometry.bezier import BezierCurve
 from repro.geometry.engine import ProjectionEngine
 from repro.linalg.polyroots import batched_minimize_on_interval
+from repro.serving import batch as serving_batch
 from repro.serving import dumps_model, score_batch
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_scores.json")
@@ -150,13 +153,10 @@ def build() -> dict:
         model.fit(data.X)
     # A GSS model never solves for roots: "closed-form" spells out the
     # backend= keyword score_batch still accepts, "numpy" leaves it out.
+    serving_batch.DEFAULT_CHUNK_SIZE = BATCH_CHUNK
     batch = {
-        "closed-form": _hex(
-            score_batch(
-                model, data.X, chunk_size=BATCH_CHUNK, backend="closed-form"
-            )
-        ),
-        "numpy": _hex(score_batch(model, data.X, chunk_size=BATCH_CHUNK)),
+        "closed-form": _hex(score_batch(model, data.X, backend="closed-form")),
+        "numpy": _hex(score_batch(model, data.X)),
     }
     return {
         "control_points": [_hex(row) for row in curve.control_points],

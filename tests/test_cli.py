@@ -118,6 +118,21 @@ class TestServeParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "m.json", "x.csv"],
+            ["serve", "--model", "m=/tmp/m.json"],
+        ],
+        ids=["score", "serve"],
+    )
+    def test_chunk_size_flag_exits_2(self, argv, capsys):
+        # Scoring runs at one fixed chunk that never changes a score.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--chunk-size", "16"])
+        assert exit_info.value.code == 2
+        assert "--chunk-size" in capsys.readouterr().err
+
     def test_model_spec_parsing(self):
         from repro.cli import parse_model_specs
 
@@ -272,10 +287,11 @@ class TestServingCommands:
         assert "p0 =" in out
 
     def test_score_round_trip_matches_rank(
-        self, saved_model, tmp_path, capsys
+        self, saved_model, tmp_path, capsys, scoring_chunk
     ):
         model_path, csv_path, _ = saved_model
         out_path = tmp_path / "scored.csv"
+        scoring_chunk(16)
         code = main(
             [
                 "score",
@@ -283,8 +299,6 @@ class TestServingCommands:
                 str(csv_path),
                 "--output",
                 str(out_path),
-                "--chunk-size",
-                "16",
                 "--top",
                 "3",
             ]
@@ -304,11 +318,11 @@ class TestServingCommands:
         # luck: the loaded model carries the exact fitted state.
         import csv as csv_module
 
-        from repro.serving import load_model
+        from repro.serving import load_model, score_batch
 
         model_path, csv_path, cloud = saved_model
         served = load_model(model_path)
-        expected = served.score_batch(cloud.X)
+        expected = score_batch(served, cloud.X)
 
         out_path = tmp_path / "scored.csv"
         code = main(

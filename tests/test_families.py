@@ -137,7 +137,7 @@ class TestRoundTripMatrix:
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("name", sorted(EXPECTED_FAMILIES))
     def test_round_trip_scores_byte_identical(
-        self, fitted_families, tmp_path, name, layout
+        self, fitted_families, tmp_path, name, layout, scoring_chunk
     ):
         model, X = fitted_families[name]
         if layout == "manifest":
@@ -149,8 +149,9 @@ class TestRoundTripMatrix:
         assert type(loaded) is type(model)
         assert loaded.family == name
         assert loaded.is_fitted
-        expected = score_batch(model, X, chunk_size=7)
-        got = score_batch(loaded, X, chunk_size=7)
+        scoring_chunk(7)
+        expected = score_batch(model, X)
+        got = score_batch(loaded, X)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_FAMILIES))
@@ -162,22 +163,29 @@ class TestRoundTripMatrix:
         path = save_model(model, tmp_path / "m", feature_names=names)
         assert load_model(path).feature_names_ == names
 
-    def test_chunked_equals_unchunked_everywhere(self, fitted_families):
-        # Pointwise families: chunk boundaries must not change scores.
+    def test_chunked_equals_unchunked_everywhere(
+        self, fitted_families, scoring_chunk
+    ):
+        # Pointwise families: chunk boundaries must not change a single
+        # bit, which is what lets the micro-batcher coalesce requests.
         # Batch-relative families: score_batch must hand the whole
-        # input to one call, so tiny chunk_size is a no-op too.  The
-        # engine-backed rpc family and the aggregators are exact by
-        # construction; the adapted families are per-row in exact
-        # arithmetic but their BLAS matmuls are not bit-stable across
-        # chunk shapes, hence the ulp-level tolerance.
-        for name, (model, X) in fitted_families.items():
-            whole = np.asarray(model.score_samples(X), dtype=float)
-            chunked = score_batch(model, X, chunk_size=3)
-            if name == "rpc" or not model.pointwise_scores:
-                assert np.array_equal(chunked, whole)
+        # input to one call, so a tiny chunk is a no-op too.  A BLAS
+        # matmul picks its kernel by row count, so 1000+ rows at chunks
+        # 1 and 3 catch any product that is not row-invariant.
+        rng = np.random.default_rng(3)
+        for name, (model, _) in fitted_families.items():
+            if name == "pagerank":
+                X = rng.integers(0, 12, size=(1200, 1)).astype(float)
             else:
-                np.testing.assert_allclose(
-                    chunked, whole, rtol=0.0, atol=1e-12
+                X = sample_monotone_cloud(
+                    alpha=ALPHA, n=1200, seed=13, noise=0.05
+                ).X
+            whole = np.asarray(model.score_samples(X), dtype=float)
+            for chunk in (1, 3):
+                scoring_chunk(chunk)
+                assert np.array_equal(score_batch(model, X), whole), (
+                    name,
+                    chunk,
                 )
 
 

@@ -5,7 +5,9 @@
 R^4, 257 rows (near the curve, far from it, and bisected onto the
 surface where two basins of the distance function tie) and warm-start
 guesses, together with scores keyed ``method/solver/start`` and
-``score_batch`` on a model fitted to the countries data.  All numbers
+``score_batch`` on a model fitted to the countries data (recorded in
+chunks of ``countries_chunk_size`` rows, checked at the fixed default
+chunk: chunking must not move a bit either).  All numbers
 are stored as ``float.hex`` and compared with ``==``: a refactor of the
 scoring path must not move a single bit.
 
@@ -85,12 +87,7 @@ def test_score_batch_bits(backend):
 
     model = loads_model(GOLDEN["countries_model"])
     spelled = {"backend": backend} if backend == "closed-form" else {}
-    scores = score_batch(
-        model,
-        load_countries().X,
-        chunk_size=GOLDEN["countries_chunk_size"],
-        **spelled,
-    )
+    scores = score_batch(model, load_countries().X, **spelled)
     _assert_bits(scores, GOLDEN["countries_score_batch"][backend], backend)
 
 

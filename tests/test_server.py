@@ -713,7 +713,7 @@ class TestHotReload:
         assert status == 200
         new_scores = np.asarray(body["scores"])
         np.testing.assert_array_equal(
-            new_scores, replacement.score_batch(X[:5])
+            new_scores, score_batch(replacement, X[:5])
         )
         assert not np.array_equal(new_scores, old_scores)
 
@@ -778,8 +778,8 @@ class TestServerConstruction:
     def test_misconfiguration_fails_at_boot(self):
         # A daemon must not boot "healthy" and then 400 every request.
         registry = ModelRegistry()
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            ScoringHTTPServer(("127.0.0.1", 0), registry, chunk_size=0)
+        with pytest.raises(ConfigurationError, match="listen_backlog"):
+            ScoringHTTPServer(("127.0.0.1", 0), registry, listen_backlog=0)
 
     @pytest.mark.parametrize(
         "knob",

@@ -413,7 +413,6 @@ class TestBootValidation:
     """Both process modes reject the same bad values before serving."""
 
     BAD_KNOBS = (
-        ("--chunk-size", "0"),
         ("--batch-window-ms", "-1"),
         ("--batch-window-ms", "inf"),
         ("--batch-window-ms", "nan"),
@@ -490,7 +489,6 @@ class TestWorkerPoolValidation:
         finally:
             server.server_close()
         for knob, match in (
-            ({"chunk_size": 0}, "chunk_size"),
             ({"batch_window": -1.0}, "window"),
             ({"max_batch_rows": 0}, "max_rows"),
         ):

@@ -3,7 +3,7 @@
 The serving contract is exactness: persistence must reproduce the
 fitted model bit-for-bit (JSON via shortest-round-trip float repr,
 ``.npz`` via binary doubles), and chunked batch scoring must match the
-unchunked path to float precision.  These tests pin that contract on
+unchunked path bit for bit.  These tests pin that contract on
 the two bundled paper datasets plus synthetic data large enough to
 exercise multi-chunk paths.
 """
@@ -24,7 +24,6 @@ from repro.data.synthetic import sample_monotone_cloud
 from repro.geometry.bezier import BezierCurve
 from repro.serving import (
     dumps_model,
-    iter_score_chunks,
     load_model,
     loads_model,
     save_model,
@@ -132,10 +131,10 @@ class TestGoldenRoundTrips:
         reference = country_model.score_samples(data.X)
         path = save_model(country_model, tmp_path / f"model{suffix}")
         served = load_model(path)
-        assert np.array_equal(served.score_batch(data.X), reference)
+        assert np.array_equal(score_batch(served, data.X), reference)
         # Rankings (order over labels) are therefore identical too.
         ref_order = np.argsort(-reference, kind="stable")
-        new_order = np.argsort(-served.score_batch(data.X), kind="stable")
+        new_order = np.argsort(-score_batch(served, data.X), kind="stable")
         assert np.array_equal(ref_order, new_order)
 
     @pytest.mark.parametrize("suffix", [".json", ".npz"])
@@ -144,7 +143,7 @@ class TestGoldenRoundTrips:
         reference = journal_model.score_samples(data.X)
         path = save_model(journal_model, tmp_path / f"model{suffix}")
         served = load_model(path)
-        assert np.array_equal(served.score_batch(data.X), reference)
+        assert np.array_equal(score_batch(served, data.X), reference)
 
     def test_control_points_and_normalizer_exact(
         self, country_model, tmp_path
@@ -177,66 +176,40 @@ class TestGoldenRoundTrips:
 
 
 class TestScoreBatch:
-    def test_chunked_matches_unchunked_100k(self, country_model):
+    def test_chunked_matches_unchunked_100k(
+        self, country_model, scoring_chunk
+    ):
         # The acceptance-scale check: 100k rows, chunked projection,
-        # identical to the one-shot path within 1e-9 (empirically the
-        # Newton-polished scores match to float precision).
+        # bit-identical to the one-shot path.
         data = load_countries()
         rng = np.random.default_rng(0)
         idx = rng.integers(0, data.X.shape[0], size=100_000)
         X = data.X[idx] * rng.uniform(0.95, 1.05, size=(100_000, 1))
-        unchunked = score_batch(country_model, X, chunk_size=X.shape[0])
-        chunked = score_batch(country_model, X, chunk_size=8192)
-        np.testing.assert_allclose(chunked, unchunked, atol=1e-9)
+        scoring_chunk(X.shape[0])
+        unchunked = score_batch(country_model, X)
+        scoring_chunk(8192)
+        chunked = score_batch(country_model, X)
+        assert np.array_equal(chunked, unchunked)
         assert np.all((chunked >= 0.0) & (chunked <= 1.0))
 
-    def test_odd_chunk_sizes(self, country_model):
+    def test_odd_chunk_sizes(self, country_model, scoring_chunk):
         data = load_countries()
         reference = country_model.score_samples(data.X)
         for chunk in (1, 7, 170, 171, 172, 10_000):
-            np.testing.assert_allclose(
-                score_batch(country_model, data.X, chunk_size=chunk),
-                reference,
-                atol=1e-9,
-            )
+            scoring_chunk(chunk)
+            assert np.array_equal(
+                score_batch(country_model, data.X), reference
+            ), chunk
 
-    def test_method_delegates(self, country_model):
-        data = load_countries()
-        assert np.array_equal(
-            country_model.score_batch(data.X, chunk_size=50),
-            score_batch(country_model, data.X, chunk_size=50),
-        )
-
-    def test_iter_chunks_cover_input_in_order(self, country_model):
-        data = load_countries()
-        spans = []
-        for start, stop, scores in iter_score_chunks(
-            country_model, data.X, chunk_size=64
-        ):
-            assert scores.shape == (stop - start,)
-            spans.append((start, stop))
-        assert spans[0][0] == 0
-        assert spans[-1][1] == data.X.shape[0]
-        assert all(
-            prev[1] == cur[0] for prev, cur in zip(spans, spans[1:])
-        )
-
-    def test_invalid_chunk_size(self, country_model):
-        data = load_countries()
-        with pytest.raises(ConfigurationError):
-            score_batch(country_model, data.X, chunk_size=0)
-
-    def test_iter_chunks_rejects_non_2d(self, country_model):
-        # Same fail-fast contract as score_batch, instead of failing
-        # later inside score_samples mid-iteration.
+    def test_rejects_non_2d(self, country_model):
+        # Fail fast instead of failing later inside score_samples.
         with pytest.raises(ConfigurationError, match="must be 2-D"):
-            next(iter_score_chunks(country_model, np.zeros(5)))
+            score_batch(country_model, np.zeros(5))
         with pytest.raises(ConfigurationError, match="must be 2-D"):
-            next(iter_score_chunks(country_model, np.zeros((2, 2, 2))))
+            score_batch(country_model, np.zeros((2, 2, 2)))
 
     def test_empty_input_handled_cleanly(self, country_model):
         empty = np.empty((0, 4))
-        assert list(iter_score_chunks(country_model, empty)) == []
         scores = score_batch(country_model, empty)
         assert scores.shape == (0,)
 
@@ -245,17 +218,16 @@ class TestScoreBatch:
         with pytest.raises(NotFittedError):
             score_batch(model, np.zeros((3, 2)))
 
-    def test_works_on_synthetic_cloud(self):
+    def test_works_on_synthetic_cloud(self, scoring_chunk):
         alpha = np.array([1.0, 1.0, -1.0])
         cloud = sample_monotone_cloud(alpha=alpha, n=200, seed=2, noise=0.02)
         model = RankingPrincipalCurve(alpha=alpha, random_state=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model.fit(cloud.X)
-        scores = score_batch(model, cloud.X, chunk_size=33)
-        np.testing.assert_allclose(
-            scores, model.score_samples(cloud.X), atol=1e-9
-        )
+        scoring_chunk(33)
+        scores = score_batch(model, cloud.X)
+        assert np.array_equal(scores, model.score_samples(cloud.X))
 
 
 class TestWarmStartDefault:
@@ -284,5 +256,5 @@ class TestWarmStartEndToEnd:
         served = load_model(path)
         assert served.warm_start is True
         assert np.array_equal(
-            served.score_batch(data.X), warm.score_samples(data.X)
+            score_batch(served, data.X), warm.score_samples(data.X)
         )

@@ -378,18 +378,20 @@ class TestRunFormatBytes:
 
 
 class TestStreamRankCsv:
-    def test_byte_identical_to_in_memory_ranking(self, workload, tmp_path):
+    def test_byte_identical_to_in_memory_ranking(
+        self, workload, tmp_path, scoring_chunk
+    ):
         model, _, csv_path, X, labels = workload
         reference = tmp_path / "reference.csv"
         save_ranking_csv(
             reference, build_ranking_list(score_batch(model, X), labels=labels)
         )
         streamed = tmp_path / "streamed.csv"
+        scoring_chunk(25)
         n_rows, head = stream_rank_csv(
             model,
             csv_path,
             streamed,
-            chunk_size=25,
             label_column="id",
             memory_budget_rows=40,  # forces >= 3 spill runs for 157 rows
         )
@@ -437,7 +439,9 @@ class TestStreamRankCsv:
         )
         assert out_gz.read_bytes() == out_plain.read_bytes()
 
-    def test_duplicate_rows_tie_break_matches(self, workload, tmp_path):
+    def test_duplicate_rows_tie_break_matches(
+        self, workload, tmp_path, scoring_chunk
+    ):
         """Duplicate rows (exact score ties) spanning chunk and run
         boundaries must rank in input order, as the in-memory path."""
         model, _, _, X, _ = workload
@@ -451,8 +455,9 @@ class TestStreamRankCsv:
             build_ranking_list(score_batch(model, X_dup), labels=labels),
         )
         streamed = tmp_path / "streamed.csv"
+        scoring_chunk(4)
         stream_rank_csv(
-            model, dup_csv, streamed, chunk_size=4, label_column="id",
+            model, dup_csv, streamed, label_column="id",
             memory_budget_rows=7,
         )
         assert streamed.read_bytes() == reference.read_bytes()
@@ -464,23 +469,24 @@ class TestStreamRankCsv:
 
 
 class TestCliStreamRank:
-    def test_byte_identical_through_cli(self, workload, tmp_path, capsys):
+    def test_byte_identical_through_cli(
+        self, workload, tmp_path, capsys, scoring_chunk
+    ):
         """A spilling ``repro score`` writes and prints exactly
         ``save_ranking_csv(build_ranking_list(score_batch(...)))``."""
         model, model_path, csv_path, X, labels = workload
+        ranking = build_ranking_list(score_batch(model, X), labels=labels)
         rank_out = tmp_path / "rank.csv"
+        scoring_chunk(25)
         assert main(
             [
                 "score", str(model_path), str(csv_path),
-                "--label-column", "id", "--chunk-size", "25", "--top", "5",
+                "--label-column", "id", "--top", "5",
                 "--memory-budget-rows", "40", "--output", str(rank_out),
             ]
         ) == 0
         rank_stdout = capsys.readouterr().out
 
-        ranking = build_ranking_list(
-            score_batch(model, X, chunk_size=25), labels=labels
-        )
         oracle_out = tmp_path / "oracle.csv"
         save_ranking_csv(oracle_out, ranking)
         assert rank_out.read_bytes() == oracle_out.read_bytes()

@@ -1,9 +1,9 @@
 """Streaming CSV scoring: parity with the in-memory path, bit for bit.
 
-The streaming pipeline buffers rows at the same multiples of
-``chunk_size`` that ``score_batch`` uses, so its scores are
-bit-identical to the in-memory path at the same chunk size — including
-through the CLI, where ``repro score`` must write the same bytes and
+A row's score depends only on that row, so the streaming pipeline's
+scores are bit-identical to the in-memory path whatever the scoring
+chunk (tests shrink it with the ``scoring_chunk`` fixture to reach
+multi-chunk paths) — including through the CLI, where ``repro score`` must write the same bytes and
 print the same lines as the library oracle ``score_batch`` ->
 ``build_ranking_list`` -> ``save_ranking_csv``.
 """
@@ -72,7 +72,7 @@ def roots_workload(workload, tmp_path_factory):
     return model_path
 
 
-def cli_oracle(model_path, csv_path, output, chunk_size, top, label_column):
+def cli_oracle(model_path, csv_path, output, top, label_column):
     """What ``repro score`` must write and print, from the library.
 
     Writes ``save_ranking_csv`` of ``build_ranking_list`` over
@@ -87,8 +87,7 @@ def cli_oracle(model_path, csv_path, output, chunk_size, top, label_column):
         attribute_columns=model.feature_names_,
     )
     ranking = build_ranking_list(
-        score_batch(model, table.X, chunk_size=chunk_size),
-        labels=table.labels,
+        score_batch(model, table.X), labels=table.labels
     )
     save_ranking_csv(output, ranking)
     lines = [
@@ -189,20 +188,26 @@ class TestIterCsvChunks:
 
 class TestStreamScores:
     @pytest.mark.parametrize("chunk_size", [13, 64, None])
-    def test_bit_identical_to_score_batch(self, workload, chunk_size):
+    def test_bit_identical_to_score_batch(
+        self, workload, chunk_size, scoring_chunk
+    ):
         model, _, csv_path, X, labels = workload
-        reference = score_batch(model, X, chunk_size=chunk_size)
+        reference = score_batch(model, X)  # one chunk at the default
+        if chunk_size is not None:
+            scoring_chunk(chunk_size)
         streamed_labels: list[str] = []
         streamed = []
         for chunk_labels, chunk_scores in iter_stream_scores(
-            model, csv_path, chunk_size=chunk_size, label_column="id"
+            model, csv_path, label_column="id"
         ):
             streamed_labels.extend(chunk_labels)
             streamed.append(chunk_scores)
         assert streamed_labels == labels
         np.testing.assert_array_equal(np.concatenate(streamed), reference)
 
-    def test_reordered_csv_columns_score_identically(self, workload, tmp_path):
+    def test_reordered_csv_columns_score_identically(
+        self, workload, tmp_path, scoring_chunk
+    ):
         # feature_names_ (stored in the model file) select and order
         # columns, so a CSV with shuffled columns streams to the same
         # scores.
@@ -216,12 +221,11 @@ class TestStreamScores:
             shuffled, labels, X[:, [2, 0, 1]], ["c", "a", "b"],
             label_column="id",
         )
+        scoring_chunk(32)
         streamed = np.concatenate(
-            [s for _, s in iter_stream_scores(served, shuffled, 32)]
+            [s for _, s in iter_stream_scores(served, shuffled)]
         )
-        np.testing.assert_array_equal(
-            streamed, score_batch(model, X, chunk_size=32)
-        )
+        np.testing.assert_array_equal(streamed, score_batch(model, X))
 
     def test_width_mismatch_raises_before_scoring(self, workload, tmp_path):
         model, _, _, X, labels = workload
@@ -230,25 +234,24 @@ class TestStreamScores:
         narrow = tmp_path / "narrow.csv"
         save_csv(narrow, labels, X[:, :2], ["a", "b"], label_column="id")
         with pytest.raises(DataValidationError, match="model expects 3"):
-            next(iter_stream_scores(model_no_names, narrow, 32))
+            next(iter_stream_scores(model_no_names, narrow))
 
 
 class TestStreamScoreCsv:
-    def test_writes_scores_in_input_order(self, workload, tmp_path):
+    def test_writes_scores_in_input_order(
+        self, workload, tmp_path, scoring_chunk
+    ):
         model, _, csv_path, X, labels = workload
         out = tmp_path / "scores.csv"
-        n = stream_score_csv(
-            model, csv_path, out, chunk_size=50, label_column="id"
-        )
+        scoring_chunk(50)
+        n = stream_score_csv(model, csv_path, out, label_column="id")
         assert n == N_ROWS
         with out.open() as handle:
             rows = list(csv.DictReader(handle))
         assert [row["label"] for row in rows] == labels
         written = np.asarray([float(row["score"]) for row in rows])
         # repr round-trip: the written text reloads to the exact float.
-        np.testing.assert_array_equal(
-            written, score_batch(model, X, chunk_size=50)
-        )
+        np.testing.assert_array_equal(written, score_batch(model, X))
         assert list(tmp_path.iterdir()) == [out]  # no stray temp files
 
 
@@ -256,9 +259,10 @@ class TestAtomicOutput:
     """A mid-stream failure must never publish a torn output file."""
 
     @pytest.fixture()
-    def poisoned(self, workload, tmp_path):
-        """A CSV whose *third* chunk (chunk_size=10) fails validation,
-        after earlier chunks have already been scored and written."""
+    def poisoned(self, workload, tmp_path, scoring_chunk):
+        """A CSV whose *third* 10-row chunk fails validation, after
+        earlier chunks have already been scored and written."""
+        scoring_chunk(10)
         _, _, csv_path, *_ = workload
         bad = tmp_path / "poisoned.csv"
         lines = csv_path.read_text().splitlines()
@@ -270,9 +274,7 @@ class TestAtomicOutput:
         model, *_ = workload
         out = tmp_path / "scores.csv"
         with pytest.raises(DataValidationError):
-            stream_score_csv(
-                model, poisoned, out, chunk_size=10, label_column="id"
-            )
+            stream_score_csv(model, poisoned, out, label_column="id")
         # Neither the output nor its .part temp file survives: the
         # pre-fix streaming path wrote the final file in place and a
         # failure left a torn prefix behind.
@@ -285,9 +287,7 @@ class TestAtomicOutput:
         model, *_ = workload
         out = tmp_path / "ranking.csv"
         with pytest.raises(DataValidationError):
-            stream_rank_csv(
-                model, poisoned, out, chunk_size=10, label_column="id"
-            )
+            stream_rank_csv(model, poisoned, out, label_column="id")
         assert not out.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["poisoned.csv"]
 
@@ -318,44 +318,48 @@ class TestAtomicOutput:
 
 class TestCliStream:
     def test_stream_output_is_byte_identical(
-        self, workload, roots_workload, tmp_path, capsys
+        self, workload, roots_workload, tmp_path, capsys, scoring_chunk
     ):
         """``repro score`` writes and prints exactly the library oracle,
         for the default Newton model and a ``projection="roots"`` one."""
         _, newton_path, csv_path, _, _ = workload
+        scoring_chunk(25)
         for model_path in (newton_path, roots_workload):
             output = tmp_path / f"ranking-{model_path.stem}.csv"
             assert main(
                 [
                     "score", str(model_path), str(csv_path),
-                    "--label-column", "id", "--chunk-size", "25",
+                    "--label-column", "id",
                     "--top", "3", "--output", str(output),
                 ]
             ) == 0
             stdout = capsys.readouterr().out
             expected = tmp_path / f"oracle-{model_path.stem}.csv"
-            lines = cli_oracle(model_path, csv_path, expected, 25, 3, "id")
+            lines = cli_oracle(model_path, csv_path, expected, 3, "id")
             assert output.read_bytes() == expected.read_bytes(), model_path
             assert stdout.splitlines() == lines + [
                 f"full ranking written to {output}"
             ]
 
-    def test_gz_input_matches_the_oracle(self, workload, tmp_path, capsys):
+    def test_gz_input_matches_the_oracle(
+        self, workload, tmp_path, capsys, scoring_chunk
+    ):
         import gzip
 
         _, model_path, csv_path, _, _ = workload
+        scoring_chunk(25)
         gz = tmp_path / "fresh.csv.gz"
         gz.write_bytes(gzip.compress(csv_path.read_bytes()))
         output = tmp_path / "ranking.csv"
         assert main(
             [
                 "score", str(model_path), str(gz), "--label-column", "id",
-                "--chunk-size", "25", "--top", "4", "--output", str(output),
+                "--top", "4", "--output", str(output),
             ]
         ) == 0
         stdout = capsys.readouterr().out
         expected = tmp_path / "oracle.csv"
-        lines = cli_oracle(model_path, csv_path, expected, 25, 4, "id")
+        lines = cli_oracle(model_path, csv_path, expected, 4, "id")
         assert output.read_bytes() == expected.read_bytes()
         assert stdout.splitlines() == lines + [
             f"full ranking written to {output}"
@@ -392,17 +396,18 @@ class TestGzipInput:
             np.asarray([v for _, v in plain]),
         )
 
-    def test_stream_score_round_trip(self, workload, gz_path, tmp_path):
+    def test_stream_score_round_trip(
+        self, workload, gz_path, tmp_path, scoring_chunk
+    ):
         """Gzipped input scores byte-identically to the plain file."""
         model, _, csv_path, _, _ = workload
         out_plain = tmp_path / "plain_scores.csv"
         out_gz = tmp_path / "gz_scores.csv"
+        scoring_chunk(40)
         n_plain = stream_score_csv(
-            model, csv_path, out_plain, chunk_size=40, label_column="id"
+            model, csv_path, out_plain, label_column="id"
         )
-        n_gz = stream_score_csv(
-            model, gz_path, out_gz, chunk_size=40, label_column="id"
-        )
+        n_gz = stream_score_csv(model, gz_path, out_gz, label_column="id")
         assert n_gz == n_plain == N_ROWS
         assert out_gz.read_bytes() == out_plain.read_bytes()
 
@@ -417,20 +422,23 @@ class TestGzipInput:
 
 
 class TestStreamRankTopK:
-    def test_matches_in_memory_top_k(self, workload):
+    def test_matches_in_memory_top_k(self, workload, scoring_chunk):
         from repro.core.scoring import build_ranking_list
         from repro.serving import stream_rank_topk
 
         model, _, csv_path, X, labels = workload
         full = build_ranking_list(score_batch(model, X), labels=labels)
+        scoring_chunk(40)
         for k in (1, 5, N_ROWS, N_ROWS + 10):
             top, n_rows = stream_rank_topk(
-                model, csv_path, k, chunk_size=40, label_column="id"
+                model, csv_path, k, label_column="id"
             )
             assert n_rows == N_ROWS
             assert top == full.top(k)
 
-    def test_ties_break_toward_earlier_rows(self, workload, tmp_path):
+    def test_ties_break_toward_earlier_rows(
+        self, workload, tmp_path, scoring_chunk
+    ):
         """Duplicate rows tie exactly; the earlier row must rank first,
         matching the stable sort of ``build_ranking_list``."""
         from repro.core.scoring import build_ranking_list
@@ -442,12 +450,13 @@ class TestStreamRankTopK:
         dup_csv = tmp_path / "dups.csv"
         save_csv(dup_csv, labels, X_dup, ["a", "b", "c"], label_column="id")
         full = build_ranking_list(score_batch(model, X_dup), labels=labels)
-        top, _ = stream_rank_topk(
-            model, dup_csv, 7, chunk_size=4, label_column="id"
-        )
+        scoring_chunk(4)
+        top, _ = stream_rank_topk(model, dup_csv, 7, label_column="id")
         assert top == full.top(7)
 
-    def test_k_zero_is_an_empty_wellformed_result(self, workload):
+    def test_k_zero_is_an_empty_wellformed_result(
+        self, workload, scoring_chunk
+    ):
         """``k=0`` must equal truncating the full ranking to nothing —
         an empty list, with every row still counted (regression: this
         used to raise)."""
@@ -456,9 +465,8 @@ class TestStreamRankTopK:
 
         model, _, csv_path, X, labels = workload
         full = build_ranking_list(score_batch(model, X), labels=labels)
-        top, n_rows = stream_rank_topk(
-            model, csv_path, 0, chunk_size=40, label_column="id"
-        )
+        scoring_chunk(40)
+        top, n_rows = stream_rank_topk(model, csv_path, 0, label_column="id")
         assert top == full.top(0) == []
         assert n_rows == N_ROWS
 
@@ -475,7 +483,9 @@ class TestStreamRankTopK:
         with pytest.raises(DataValidationError, match="model expects 3"):
             stream_rank_topk(model_no_names, narrow, 0, label_column="id")
 
-    def test_k_beyond_row_count_equals_full_ranking(self, workload):
+    def test_k_beyond_row_count_equals_full_ranking(
+        self, workload, scoring_chunk
+    ):
         """``k > n`` must equal the whole (untruncated) ranking list,
         byte for byte on every (label, score) pair."""
         from repro.core.scoring import build_ranking_list
@@ -483,8 +493,9 @@ class TestStreamRankTopK:
 
         model, _, csv_path, X, labels = workload
         full = build_ranking_list(score_batch(model, X), labels=labels)
+        scoring_chunk(40)
         top, n_rows = stream_rank_topk(
-            model, csv_path, N_ROWS + 1000, chunk_size=40, label_column="id"
+            model, csv_path, N_ROWS + 1000, label_column="id"
         )
         assert n_rows == N_ROWS
         assert len(top) == N_ROWS
@@ -524,12 +535,11 @@ class TestBatchRelativeFamilies:
         oracle = score_batch(model, cloud.X)
         return model, csv_path, labels, oracle
 
-    def test_stream_score_csv(self, borda, tmp_path):
+    def test_stream_score_csv(self, borda, tmp_path, scoring_chunk):
         model, csv_path, labels, oracle = borda
         out = tmp_path / "scores.csv"
-        stream_score_csv(
-            model, csv_path, out, chunk_size=self.CHUNK, label_column="id"
-        )
+        scoring_chunk(self.CHUNK)
+        stream_score_csv(model, csv_path, out, label_column="id")
         with out.open() as handle:
             rows = list(csv.reader(handle))[1:]
         assert [label for label, _ in rows] == labels
@@ -537,23 +547,25 @@ class TestBatchRelativeFamilies:
             repr(value) for value in oracle.tolist()
         ]
 
-    def test_stream_rank_csv(self, borda, tmp_path):
+    def test_stream_rank_csv(self, borda, tmp_path, scoring_chunk):
         model, csv_path, labels, oracle = borda
         reference = tmp_path / "reference.csv"
         save_ranking_csv(
             reference, build_ranking_list(oracle, labels=labels)
         )
         streamed = tmp_path / "streamed.csv"
+        scoring_chunk(self.CHUNK)
         stream_rank_csv(
-            model, csv_path, streamed, chunk_size=self.CHUNK,
-            label_column="id", memory_budget_rows=40,
+            model, csv_path, streamed, label_column="id",
+            memory_budget_rows=40,
         )
         assert streamed.read_bytes() == reference.read_bytes()
 
-    def test_stream_rank_topk(self, borda):
+    def test_stream_rank_topk(self, borda, scoring_chunk):
         model, csv_path, labels, oracle = borda
+        scoring_chunk(self.CHUNK)
         top, n_rows = stream_rank_topk(
-            model, csv_path, 10, chunk_size=self.CHUNK, label_column="id"
+            model, csv_path, 10, label_column="id"
         )
         assert n_rows == self.N
         assert top == build_ranking_list(oracle, labels=labels).top(10)
@@ -562,11 +574,14 @@ class TestBatchRelativeFamilies:
 
 
 class TestCliTopK:
-    def test_matches_plain_score_head(self, workload, tmp_path, capsys):
+    def test_matches_plain_score_head(
+        self, workload, tmp_path, capsys, scoring_chunk
+    ):
         _, model_path, csv_path, _, _ = workload
+        scoring_chunk(25)
         base = [
             "score", str(model_path), str(csv_path),
-            "--label-column", "id", "--chunk-size", "25", "--top", "5",
+            "--label-column", "id", "--top", "5",
         ]
         full_out = tmp_path / "full.csv"
         assert main(base + ["--output", str(full_out)]) == 0
@@ -576,7 +591,7 @@ class TestCliTopK:
         code = main(
             [
                 "score", str(model_path), str(csv_path),
-                "--label-column", "id", "--chunk-size", "25",
+                "--label-column", "id",
                 "--top-k", "5", "--output", str(topk_out),
             ]
         )
