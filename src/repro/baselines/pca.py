@@ -191,7 +191,7 @@ class KernelPCARanker:
         self._component = lead / np.sqrt(lam)
         # Orient: correlate with the naive alpha-weighted sum.
         naive = U @ self.alpha
-        scores = centred @ self._component
+        scores = row_invariant_product(centred, self._component)
         if float(np.corrcoef(scores, naive)[0, 1]) < 0.0:
             self._component = -self._component
         return self
