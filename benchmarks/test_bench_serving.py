@@ -21,6 +21,7 @@ are wall-clock timings.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -36,6 +37,8 @@ from conftest import format_table, show
 
 N_OBJECTS = 3200
 DIMENSION = 4
+#: Interleaved cold/warm rounds of the warm-start gate.
+ROUNDS = 5
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +55,14 @@ def projection_workload():
     return curve, normalize_unit_cube(cloud.X)
 
 
+def _seconds(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
 def _best_of(fn, repeats: int = 5) -> float:
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return min(_seconds(fn) for _ in range(repeats))
 
 
 def test_newton_vs_gss(projection_workload, benchmark):
@@ -159,10 +163,18 @@ def test_warm_projection_vs_cold(projection_workload, benchmark):
     curve, X = projection_workload
     s_cold = project_points(curve, X, method="gss")
 
-    t_cold = _best_of(lambda: project_points(curve, X, method="gss"))
-    t_warm = _best_of(
-        lambda: project_points(curve, X, method="gss", s0=s_cold)
-    )
+    # One wall-clock pair is at the mercy of whatever else the box is
+    # doing; interleaved rounds see the same load, and the median of
+    # their ratios decides the gate.
+    colds, warms = [], []
+    for _ in range(ROUNDS):
+        colds.append(_seconds(lambda: project_points(curve, X, method="gss")))
+        warms.append(_seconds(
+            lambda: project_points(curve, X, method="gss", s0=s_cold)
+        ))
+    t_cold = statistics.median(colds)
+    t_warm = statistics.median(warms)
+    ratio = statistics.median([w / c for w, c in zip(warms, colds)])
     benchmark(lambda: project_points(curve, X, method="gss", s0=s_cold))
 
     s_warm = project_points(curve, X, method="gss", s0=s_cold)
@@ -171,13 +183,13 @@ def test_warm_projection_vs_cold(projection_workload, benchmark):
     show(
         "serving_warm_start",
         format_table(
-            ["path", "ms (best-of)", "speedup vs cold"],
+            ["path", f"ms (median of {ROUNDS})", "speedup vs cold"],
             [
                 ["cold grid scan + GSS", f"{t_cold * 1e3:.2f}", "1.0x"],
                 [
                     "warm brackets + safeguard",
                     f"{t_warm * 1e3:.2f}",
-                    f"{t_cold / t_warm:.1f}x",
+                    f"{1.0 / ratio:.1f}x",
                 ],
                 ["agreement (max |ds|)", f"{agreement:.2e}", ""],
             ],
@@ -186,7 +198,7 @@ def test_warm_projection_vs_cold(projection_workload, benchmark):
     )
 
     assert agreement < 1e-6
-    assert t_warm <= t_cold * 1.2
+    assert ratio <= 1.2
 
 
 @pytest.fixture(scope="module")

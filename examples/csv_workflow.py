@@ -74,9 +74,7 @@ def main() -> None:
 
     # 4. How confident is the list?  Bootstrap the fit.
     def factory():
-        return RankingPrincipalCurve(
-            alpha=alpha, random_state=0, n_restarts=1, init="linear"
-        )
+        return RankingPrincipalCurve(alpha=alpha)
 
     report = bootstrap_rank_stability(
         factory,

@@ -62,13 +62,9 @@ def main() -> None:
     print("\n=== Sanity: reduced model vs full model ===")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        full = RankingPrincipalCurve(
-            alpha=alpha, random_state=0, n_restarts=1, init="linear"
-        ).fit(X)
+        full = RankingPrincipalCurve(alpha=alpha).fit(X)
         keep = result.selected
-        reduced = RankingPrincipalCurve(
-            alpha=alpha[keep], random_state=0, n_restarts=1, init="linear"
-        ).fit(X[:, keep])
+        reduced = RankingPrincipalCurve(alpha=alpha[keep]).fit(X[:, keep])
     tau = kendall_tau(
         full.score_samples(X), reduced.score_samples(X[:, keep])
     )

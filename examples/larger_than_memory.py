@@ -91,7 +91,7 @@ def main() -> None:
     alpha = parse_alpha_spec(
         "+quality,-price,-defects", table.attribute_names
     )
-    model = RankingPrincipalCurve(alpha=alpha, random_state=0, n_restarts=1)
+    model = RankingPrincipalCurve(alpha=alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model.fit(sample)

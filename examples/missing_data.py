@@ -42,9 +42,7 @@ def main() -> None:
     # Reference ranking on the intact table.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reference = RankingPrincipalCurve(
-            alpha=data.alpha, random_state=0, n_restarts=1, init="linear"
-        ).fit(data.X)
+        reference = RankingPrincipalCurve(alpha=data.alpha).fit(data.X)
     ref_scores = reference.score_samples(data.X)
 
     # Knock out ~8% of cells (keeping 60 rows intact to fit from).
@@ -65,9 +63,7 @@ def main() -> None:
     complete, labels_c, kept = drop_missing_rows(X_holey, labels=data.labels)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dropped_model = RankingPrincipalCurve(
-            alpha=data.alpha, random_state=0, n_restarts=1, init="linear"
-        ).fit(complete)
+        dropped_model = RankingPrincipalCurve(alpha=data.alpha).fit(complete)
     tau_drop = kendall_tau(
         dropped_model.score_samples(complete), ref_scores[kept]
     )
@@ -76,17 +72,13 @@ def main() -> None:
     X_median = median_impute(X_holey)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        median_model = RankingPrincipalCurve(
-            alpha=data.alpha, random_state=0, n_restarts=1, init="linear"
-        ).fit(X_median)
+        median_model = RankingPrincipalCurve(alpha=data.alpha).fit(X_median)
     tau_median = kendall_tau(
         median_model.score_samples(X_median), ref_scores
     )
 
     # Strategy 3: curve imputation + masked scoring.
-    imputer = CurveImputer(
-        alpha=data.alpha, random_state=0, n_restarts=1, init="linear"
-    )
+    imputer = CurveImputer(alpha=data.alpha)
     result = imputer.fit_transform(X_holey)
     tau_curve = kendall_tau(result.scores, ref_scores)
     cell_error = float(

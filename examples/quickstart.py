@@ -63,9 +63,7 @@ def main() -> None:
     print("\n=== Meta-rule assessment ===")
 
     def fit_and_score(X: np.ndarray) -> np.ndarray:
-        refit = RankingPrincipalCurve(
-            alpha=alpha, random_state=0, n_restarts=1, init="linear"
-        )
+        refit = RankingPrincipalCurve(alpha=alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             refit.fit(X)

@@ -34,9 +34,7 @@ def fit_on_s_curve(toy):
     )
     support = sample_around_curve(s_curve, n=80, noise=0.02, seed=1)
     X = np.vstack([toy.X, support.X, [[0.0, 0.0], [1.0, 1.0]]])
-    model = RankingPrincipalCurve(
-        alpha=toy.alpha, random_state=0, n_restarts=1, init="linear"
-    )
+    model = RankingPrincipalCurve(alpha=toy.alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model.fit(X)

@@ -60,6 +60,12 @@ from repro.serving.stream import (
     write_ranking,
 )
 
+RESTARTS_HELP = "starts: N−1 random, then the diagonal (default 1)"
+SEED_HELP = (
+    "seed of the random starts; matters only with --restarts > 1 "
+    "(default 0)"
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for tests)."""
@@ -91,11 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--degree", type=int, default=3, help="Bezier degree (default 3)"
     )
     rank.add_argument(
-        "--restarts", type=int, default=4, help="random restarts (default 4)"
+        "--restarts", type=int, default=1, help=RESTARTS_HELP
     )
-    rank.add_argument(
-        "--seed", type=int, default=0, help="random seed (default 0)"
-    )
+    rank.add_argument("--seed", type=int, default=0, help=SEED_HELP)
 
     demo = sub.add_parser("demo", help="run a bundled experiment")
     demo.add_argument(
@@ -132,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     save.add_argument("--label-column", default=None)
     save.add_argument("--degree", type=int, default=3)
-    save.add_argument("--restarts", type=int, default=4)
-    save.add_argument("--seed", type=int, default=0)
+    save.add_argument("--restarts", type=int, default=1, help=RESTARTS_HELP)
+    save.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     save.add_argument(
         "--warm-start",
         action=argparse.BooleanOptionalAction,
@@ -422,6 +426,13 @@ def _print_head(entries: Sequence[tuple[str, float]]) -> None:
         print(f"{position:>4}  {score:>8.4f}  {label}")
 
 
+def _fit_seed(args: argparse.Namespace) -> Optional[int]:
+    """``--seed`` when random starts use it, else ``None``: a one-start
+    fit is the diagonal start alone, so its saved model must not record
+    a seed it never used."""
+    return args.seed if args.restarts > 1 else None
+
+
 def _run_rank(args: argparse.Namespace) -> int:
     table = load_csv(args.csv_path, label_column=args.label_column)
     alpha = parse_alpha_spec(args.alpha, table.attribute_names)
@@ -429,7 +440,7 @@ def _run_rank(args: argparse.Namespace) -> int:
         alpha=alpha,
         degree=args.degree,
         n_restarts=args.restarts,
-        random_state=args.seed,
+        random_state=_fit_seed(args),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -482,7 +493,7 @@ def _run_save(args: argparse.Namespace) -> int:
             alpha=alpha,
             degree=args.degree,
             n_restarts=args.restarts,
-            random_state=args.seed,
+            random_state=_fit_seed(args),
             warm_start=args.warm_start,
         )
     else:

@@ -88,15 +88,8 @@ class FeatureSelectionResult:
     final_tau: float
 
 
-def _fit_scores(
-    X: np.ndarray,
-    alpha: np.ndarray,
-    random_state: int,
-    **fit_kwargs,
-) -> np.ndarray:
-    model = RankingPrincipalCurve(
-        alpha=alpha, random_state=random_state, **fit_kwargs
-    )
+def _fit_scores(X: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    model = RankingPrincipalCurve(alpha=alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model.fit(X)
@@ -107,7 +100,6 @@ def attribute_importances(
     X: np.ndarray,
     alpha: np.ndarray,
     attribute_names: Optional[Sequence[str]] = None,
-    random_state: int = 0,
 ) -> list[AttributeImportance]:
     """Score every attribute's contribution to the RPC ranking.
 
@@ -119,12 +111,9 @@ def attribute_importances(
         Direction vector of the full task.
     attribute_names:
         Optional names for the report.
-    random_state:
-        Seed shared by the full fit and every leave-one-out refit so
-        differences reflect the data, not the initialisation.
 
-    Every fit starts from the deterministic ``init="linear"`` curve,
-    so one start per fit is all a restart budget could buy.
+    Every fit is the default deterministic diagonal start, so
+    differences reflect the data, not the initialisation.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 2:
@@ -140,12 +129,7 @@ def attribute_importances(
             f"{len(attribute_names)} names for {d} attributes"
         )
 
-    model = RankingPrincipalCurve(
-        alpha=alpha,
-        random_state=random_state,
-        n_restarts=1,
-        init="linear",
-    )
+    model = RankingPrincipalCurve(alpha=alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model.fit(X)
@@ -165,13 +149,7 @@ def attribute_importances(
     reports = []
     for j in range(d):
         keep = [k for k in range(d) if k != j]
-        reduced_scores = _fit_scores(
-            X[:, keep],
-            alpha[keep],
-            random_state=random_state,
-            n_restarts=1,
-            init="linear",
-        )
+        reduced_scores = _fit_scores(X[:, keep], alpha[keep])
         tau = kendall_tau(full_scores, reduced_scores)
         reports.append(
             AttributeImportance(
@@ -190,7 +168,6 @@ def select_features(
     attribute_names: Optional[Sequence[str]] = None,
     min_tau: float = 0.95,
     min_attributes: int = 2,
-    random_state: int = 0,
 ) -> FeatureSelectionResult:
     """Greedy backward elimination under a ranking-consistency budget.
 
@@ -213,11 +190,9 @@ def select_features(
     alpha = np.asarray(alpha, dtype=float).ravel()
     d = X.shape[1]
     importances = attribute_importances(
-        X, alpha, attribute_names=attribute_names, random_state=random_state
+        X, alpha, attribute_names=attribute_names
     )
-    full_scores = _fit_scores(
-        X, alpha, random_state=random_state, n_restarts=1, init="linear"
-    )
+    full_scores = _fit_scores(X, alpha)
 
     selected = list(range(d))
     dropped: list[int] = []
@@ -227,13 +202,7 @@ def select_features(
         best_tau = -np.inf
         for j in selected:
             keep = [k for k in selected if k != j]
-            scores = _fit_scores(
-                X[:, keep],
-                alpha[keep],
-                random_state=random_state,
-                n_restarts=1,
-                init="linear",
-            )
+            scores = _fit_scores(X[:, keep], alpha[keep])
             tau = kendall_tau(full_scores, scores)
             if tau > best_tau:
                 best_tau = tau

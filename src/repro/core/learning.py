@@ -128,9 +128,10 @@ def initialize_control_points(
     End points are pinned at the hypercube corners given by ``alpha``;
     the interior points are either random data samples (the paper's
     choice, ``init="random"``) or evenly spaced points along the
-    corner-to-corner diagonal (``init="linear"``, a deterministic
-    fallback used in tests).  Interior points are nudged inside the
-    open cube by ``margin``.
+    corner-to-corner diagonal (``init="linear"``, the deterministic
+    start :class:`~repro.core.rpc.RankingPrincipalCurve` fits from by
+    default).  Interior points are nudged inside the open cube by
+    ``margin``.
     """
     X = np.asarray(X, dtype=float)
     alpha = validate_direction_vector(alpha, d=X.shape[1])
@@ -323,11 +324,14 @@ def fit_rpc_curve(
             A = G_w @ G.T
             B = X_w.T @ G.T
             gamma = optimal_step_size(A)
-            P_new = P
-            for _ in range(max(inner_updates, 1)):
-                P_new = richardson_step(
-                    P_new, A, B, gamma=gamma, precondition=precondition
-                )
+            P_new = richardson_step(
+                P,
+                A,
+                B,
+                gamma=gamma,
+                precondition=precondition,
+                steps=max(inner_updates, 1),
+            )
             trace.step_sizes.append(gamma)
         elif update == "pinv":
             if weights is None:

@@ -96,7 +96,7 @@ def evaluate_rpc_ranking(
         Optional object names.
     refit:
         Pipeline closure for the invariance check; defaults to
-        refitting an identically configured single-restart model.
+        refitting an identically configured default (one-start) model.
     k_extremes:
         Number of list-head and list-tail entries to include.
     rng:
@@ -118,9 +118,6 @@ def evaluate_rpc_ranking(
                 degree=model.degree,
                 projection=model.projection,
                 update=model.update,
-                n_restarts=1,
-                init="linear",
-                random_state=0,
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.data.synthetic import sample_monotone_cloud
+from repro.serving import load_model
 
 
 @pytest.fixture
@@ -36,6 +37,16 @@ class TestParser:
         assert args.command == "rank"
         assert args.csv_path == "data.csv"
         assert args.top == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "d.csv", "--alpha", "+a"],
+            ["save", "d.csv", "--alpha", "+a", "--model", "m.json"],
+        ],
+    )
+    def test_one_start_by_default(self, argv):
+        assert build_parser().parse_args(argv).restarts == 1
 
     def test_demo_arguments(self):
         parser = build_parser()
@@ -270,6 +281,33 @@ class TestServingCommands:
         assert code == 0
         assert "model written to" in capsys.readouterr().out
         return model_path, path, cloud
+
+    def _save(self, ranking_csv, model_path, *flags):
+        code = main(
+            [
+                "save",
+                str(ranking_csv[0]),
+                "--alpha",
+                "+quality,+coverage,-defects",
+                "--model",
+                str(model_path),
+                *flags,
+            ]
+        )
+        assert code == 0
+        return model_path.read_bytes()
+
+    def test_default_save_does_not_depend_on_seed(
+        self, ranking_csv, tmp_path
+    ):
+        first = self._save(ranking_csv, tmp_path / "a.json", "--seed", "0")
+        second = self._save(ranking_csv, tmp_path / "b.json", "--seed", "7")
+        assert first == second
+
+    def test_random_starts_record_their_seed(self, ranking_csv, tmp_path):
+        path = tmp_path / "m.json"
+        self._save(ranking_csv, path, "--restarts", "2", "--seed", "7")
+        assert load_model(path).random_state == 7
 
     def test_save_writes_model(self, saved_model):
         model_path, _, _ = saved_model

@@ -13,7 +13,10 @@ from repro.core.exceptions import (
     DataValidationError,
     NotFittedError,
 )
+import repro.core.rpc as rpc_module
 from repro.core.rpc import RankingPrincipalCurve
+from repro.data.countries import load_countries
+from repro.data.journals import load_journals
 from repro.data.synthetic import sample_monotone_cloud
 from repro.evaluation.metrics import spearman_rho
 from repro.serving import loads_model
@@ -194,6 +197,57 @@ class TestReproducibility:
                 n_restarts=1,
             ).fit(cloud.X)
         assert model.training_scores_.shape == (60,)
+
+
+class TestDefaultFit:
+    """The default fit is the one deterministic diagonal start."""
+
+    @pytest.fixture(params=["countries", "journals"], scope="class")
+    def dataset(self, request):
+        if request.param == "countries":
+            return load_countries()
+        return load_journals()
+
+    @staticmethod
+    def _fit(data, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return RankingPrincipalCurve(data.alpha, **kwargs).fit(data.X)
+
+    def test_one_start_that_converges(self, dataset, monkeypatch):
+        calls = []
+        original = rpc_module.fit_rpc_curve
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(rpc_module, "fit_rpc_curve", counted)
+        self._fit(dataset, random_state=0)
+        assert len(calls) == 1
+        assert calls[0].trace.converged
+
+    def test_seed_does_not_move_a_bit(self, dataset):
+        fits = [
+            self._fit(dataset, random_state=seed) for seed in (0, 1, None)
+        ]
+        for other in fits[1:]:
+            assert np.array_equal(
+                other.control_points_, fits[0].control_points_
+            )
+            assert np.array_equal(
+                other.score_samples(dataset.X),
+                fits[0].score_samples(dataset.X),
+            )
+
+    def test_objective_no_worse_than_four_starts(self, dataset):
+        one = self._fit(dataset, random_state=0)
+        four = self._fit(dataset, random_state=0, n_restarts=4)
+        assert (
+            one.trace_.final_objective
+            <= four.trace_.final_objective + 1e-6
+        )
 
 
 class TestValidation:

@@ -99,6 +99,28 @@ class TestRichardsonStep:
         same = richardson_step(P0, A, B, gamma=0.0)
         np.testing.assert_array_equal(same, P0)
 
+    @pytest.mark.parametrize("precondition", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 32])
+    def test_steps_equal_chained_single_steps(self, rng, precondition, k):
+        A, B, P_true = _spd_system(rng)
+        P0 = P_true + rng.normal(scale=0.5, size=P_true.shape)
+        gamma = optimal_step_size(A)
+        chained = P0
+        for _ in range(k):
+            chained = richardson_step(
+                chained, A, B, gamma=gamma, precondition=precondition
+            )
+        batched = richardson_step(
+            P0, A, B, gamma=gamma, precondition=precondition, steps=k
+        )
+        assert np.array_equal(batched, chained)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_raises(self, rng, steps):
+        A, B, P_true = _spd_system(rng)
+        with pytest.raises(ConfigurationError, match="steps"):
+            richardson_step(P_true, A, B, steps=steps)
+
 
 class TestRichardsonSolve:
     def test_converges_to_true_solution(self, rng):
