@@ -16,9 +16,11 @@ Two measurements pin that contract:
 * a microbench of the exact per-request obs costs (no-op spans,
   engine-profile lifecycle, histogram observe), whose total *implied*
   overhead against the measured tracing-off latency is the CI gate:
-  **<= 2%**.  The gate is computed this way round — cheap fixed costs
-  measured over many iterations, divided by a wall-clock latency —
-  because a direct A/B of two HTTP runs at the ~μs scale is noise.
+  **<= 2%**, as the median over interleaved rounds of the tracing-off
+  p50 and the microbench.  The gate is computed this way round — cheap
+  fixed costs measured over many iterations, divided by a wall-clock
+  latency — because a direct A/B of two HTTP runs at the ~μs scale is
+  noise.
 
 The latency client keeps one ``http.client.HTTPConnection`` per
 tracing mode and asserts every request went over that one socket, so
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import statistics
 import threading
 import time
 import warnings
@@ -48,6 +51,7 @@ from conftest import format_table, show
 
 ALPHA = np.array([1.0, 1.0, -1.0])
 N_REQUESTS = 300
+ROUNDS = 5  # interleaved tracing-off p50 / hook-cost rounds for the gate
 OVERHEAD_GATE = 0.02  # tracing-off obs cost must stay under 2%
 
 
@@ -145,9 +149,9 @@ def _per_request_obs_cost_us() -> dict:
 
 def test_tracing_overhead(model_file):
     """Off vs sampled vs always-on latency, plus the <=2% off gate."""
-    p50 = {}
+    off = "tracing off (no --trace flag)"
+    p50 = {off: 0.0}
     for label, tracer in (
-        ("tracing off (no --trace flag)", None),
         ("sampled (--trace sampled, 1/64)",
          Tracer(mode="sampled", sample_every=64)),
         ("always-on (--trace on)", Tracer(mode="on", sample_every=1)),
@@ -159,10 +163,29 @@ def test_tracing_overhead(model_file):
             server.shutdown()
             server.server_close()
 
-    costs = _per_request_obs_cost_us()
+    # One wall-clock p50 is at the mercy of whatever else the box is
+    # doing; rounds that time the tracing-off p50 and the hook costs
+    # back to back see the same load, and the median of their implied
+    # ratios decides the gate.
+    off_p50s, round_costs = [], []
+    server, port = _serve(model_file, None)
+    try:
+        for _ in range(ROUNDS):
+            off_p50s.append(_score_p50_ms(port))
+            round_costs.append(_per_request_obs_cost_us())
+    finally:
+        server.shutdown()
+        server.server_close()
+    implied = statistics.median(
+        sum(hooks.values()) / (p50_ms * 1e3)
+        for hooks, p50_ms in zip(round_costs, off_p50s)
+    )
+    off_p50 = p50[off] = statistics.median(off_p50s)
+    costs = {
+        hook: statistics.median(hooks[hook] for hooks in round_costs)
+        for hook in round_costs[0]
+    }
     total_us = sum(costs.values())
-    off_p50 = p50["tracing off (no --trace flag)"]
-    implied = total_us / (off_p50 * 1e3)
 
     rows = [
         [label, f"{value:.3f} ms", f"{value / off_p50:.2f}x"]
@@ -171,14 +194,16 @@ def test_tracing_overhead(model_file):
     table1 = format_table(
         ["configuration", "p50 /score latency", "vs off"],
         rows,
-        "Single-row /score latency by tracing mode (keep-alive client)",
+        "Single-row /score latency by tracing mode (keep-alive client; "
+        f"off is the median of {ROUNDS} rounds)",
     )
     cost_rows = [
         [label, f"{value:.3f} us"] for label, value in costs.items()
     ]
     cost_rows.append(["total per request", f"{total_us:.3f} us"])
     cost_rows.append(
-        ["implied overhead at measured p50", f"{implied * 100:.3f}%"]
+        [f"implied overhead (median of {ROUNDS} rounds)",
+         f"{implied * 100:.3f}%"]
     )
     cost_rows.append(["CI gate", f"<= {OVERHEAD_GATE * 100:.0f}%"])
     table2 = format_table(
@@ -190,11 +215,12 @@ def test_tracing_overhead(model_file):
 
     # The CI gate: with no --trace flag the obs hooks must cost less
     # than 2% of a request.  Microbenched numerator over wall-clock
-    # denominator keeps the gate deterministic.
+    # denominator, per round, keeps the gate deterministic.
     assert implied <= OVERHEAD_GATE, (
         f"tracing-off obs hooks cost {total_us:.1f} us/request — "
-        f"{implied * 100:.2f}% of the measured {off_p50:.3f} ms p50 "
-        f"(gate {OVERHEAD_GATE * 100:.0f}%)"
+        f"a median {implied * 100:.2f}% of the tracing-off p50 over "
+        f"{ROUNDS} rounds ({off_p50:.3f} ms; gate "
+        f"{OVERHEAD_GATE * 100:.0f}%)"
     )
     # Sanity bound on the opt-in modes: always-on tracing may not
     # blow up the hot path (generous 2x bound — it should be ~1x).

@@ -580,10 +580,7 @@ def _run_score(args: argparse.Namespace) -> int:
         _print_head(top)
         if args.output:
             write_ranking(
-                (
-                    (position, label, score)
-                    for position, (label, score) in enumerate(top, start=1)
-                ),
+                [([label for label, _ in top], [score for _, score in top])],
                 args.output,
             )
             print(f"top-{len(top)} ranking written to {args.output}")

@@ -19,7 +19,7 @@ import gzip
 import operator
 import pathlib
 from dataclasses import dataclass
-from typing import IO, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -277,16 +277,26 @@ def save_csv(
 RANKING_CSV_HEADER = ["position", "label", "score"]
 
 
-def ranking_csv_row(position: int, label: str, score: float) -> list:
-    """One serialised ranking row (shortest-round-trip float ``repr``).
+def ranking_csv_rows(
+    first_position: int,
+    labels: Sequence[str],
+    scores: Iterable[float],
+) -> Iterator[tuple]:
+    """Serialised ranking rows for consecutive positions from
+    ``first_position`` (shortest-round-trip float ``repr`` scores).
 
     The single definition of the ranking-file row format: both
     :func:`save_ranking_csv` (in-memory path) and
-    :func:`repro.serving.stream.stream_rank_csv` (external-sort path)
-    write through it, which is what makes their byte-identity contract
-    a property of the code rather than of two copies staying in sync.
+    :func:`repro.serving.stream.write_ranking` (external-sort path,
+    one block of the merge per call) write through it, which is what
+    makes their byte-identity contract a property of the code rather
+    than of two copies staying in sync.
     """
-    return [int(position), label, repr(float(score))]
+    return zip(
+        range(first_position, first_position + len(labels)),
+        labels,
+        map(repr, map(float, scores)),
+    )
 
 
 def save_ranking_csv(
@@ -303,14 +313,13 @@ def save_ranking_csv(
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(RANKING_CSV_HEADER)
-        for idx in ranking.order:
-            writer.writerow(
-                ranking_csv_row(
-                    ranking.positions[idx],
-                    ranking.labels[idx],
-                    ranking.scores[idx],
-                )
+        writer.writerows(
+            ranking_csv_rows(
+                1,
+                list(map(ranking.labels.__getitem__, ranking.order.tolist())),
+                ranking.scores[ranking.order],
             )
+        )
 
 
 def parse_alpha_spec(

@@ -42,11 +42,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import heapq
-import itertools
 import os
 import pathlib
 import tempfile
-from typing import IO, Iterator, List, Optional, Sequence, Tuple
+from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -401,38 +400,55 @@ def stream_rank_csv(
             sorter.add(labels, scores)
         n_rows = sorter.n_rows
         head_entries = write_ranking(
-            sorter.ranked(), output_path, head=head, delimiter=delimiter
+            sorter.ranked().blocks,
+            output_path,
+            head=head,
+            delimiter=delimiter,
         )
     return n_rows, head_entries
 
 
 def write_ranking(
-    ranked: Iterator[Tuple[int, str, float]],
+    blocks: Iterable[Tuple[Sequence[str], Sequence[float]]],
     output_path: Optional[str | pathlib.Path],
     head: int = 0,
     delimiter: str = ",",
 ) -> List[Tuple[str, float]]:
-    """Write a merged ranking as a ``position,label,score`` CSV.
+    """Write a ranking as a ``position,label,score`` CSV, a block at a time.
 
-    ``ranked`` is an :meth:`ExternalSorter.ranked
-    <repro.serving.extsort.ExternalSorter.ranked>` stream.  Rows go
-    through :func:`~repro.data.loaders.ranking_csv_row` in one
-    ``writerows`` call, into a temp file atomically renamed to
-    ``output_path`` on success; ``None`` writes nothing.  Returns the
-    first ``head`` entries as ``(label, score)`` pairs.
+    ``blocks`` is the ranking, best first, as ``(labels, scores)``
+    pairs — an :attr:`ExternalSorter.ranked().blocks
+    <repro.serving.extsort.MergedRanking.blocks>` stream.  Each block
+    is one ``writerows`` call of
+    :func:`~repro.data.loaders.ranking_csv_rows`, into a temp file
+    atomically renamed to ``output_path`` on success; ``None`` writes
+    nothing and reads only as many blocks as ``head`` needs.  Returns
+    the first ``head`` entries as ``(label, score)`` pairs.
     """
-    # Looked up at call time, so a patched ranking_csv_row (the
+    # Looked up at call time, so a patched ranking_csv_rows (the
     # mid-write fault tests) takes effect.
-    from repro.data.loaders import RANKING_CSV_HEADER, ranking_csv_row
+    from repro.data.loaders import RANKING_CSV_HEADER, ranking_csv_rows
 
-    top = list(itertools.islice(ranked, head))
-    if output_path is not None:
-        with atomic_output(pathlib.Path(output_path)) as handle:
-            writer = csv.writer(handle, delimiter=delimiter)
-            writer.writerow(RANKING_CSV_HEADER)
-            writer.writerows(
-                itertools.starmap(
-                    ranking_csv_row, itertools.chain(top, ranked)
-                )
-            )
-    return [(label, score) for _, label, score in top]
+    top: List[Tuple[str, float]] = []
+
+    def _collect(labels: Sequence[str], scores: Sequence[float]) -> None:
+        want = head - len(top)
+        if want > 0:
+            top.extend(zip(labels[:want], scores[:want]))
+
+    if output_path is None:
+        if head > 0:
+            for labels, scores in blocks:
+                _collect(labels, scores)
+                if len(top) >= head:
+                    break
+        return top
+    with atomic_output(pathlib.Path(output_path)) as handle:
+        writer = csv.writer(handle, delimiter=delimiter)
+        writer.writerow(RANKING_CSV_HEADER)
+        position = 1
+        for labels, scores in blocks:
+            _collect(labels, scores)
+            writer.writerows(ranking_csv_rows(position, labels, scores))
+            position += len(labels)
+    return top

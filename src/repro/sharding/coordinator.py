@@ -9,13 +9,13 @@ no state between blocks, so any shard can take any block.  A shard
 scores its block through
 ``POST /v1/models/<name>/rank-shard`` and returns the block as one
 sorted :mod:`repro.serving.extsort` run file carrying *global* row
-indices.  The coordinator adopts every run (validated record by
-record) into an :class:`~repro.serving.extsort.ExternalSorter` and
-k-way merges them under the usual fd budget, so the final
-``position,label,score`` CSV is **byte-identical to a single box**:
-scores come from the same ``score_batch`` path, ties break through the
-same ``rank_entry_key``, rows are formatted by the same
-``ranking_csv_row``, and the output file is published with the same
+indices.  The coordinator adopts every run (decoded and checked for
+ranking order) into an :class:`~repro.serving.extsort.ExternalSorter`
+and merges them a block at a time under the usual fd budget, so the
+final ``position,label,score`` CSV is **byte-identical to a single
+box**: scores come from the same ``score_batch`` path, ties break on
+the same ``(score, input row)`` key, rows are formatted by the same
+``ranking_csv_rows``, and the output file is published with the same
 atomic temp-file rename.
 
 Failure semantics (the exactly-once story)
@@ -49,8 +49,10 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.exceptions import ConfigurationError, ReproError
-from repro.serving.extsort import ExternalSorter, iter_run_bytes
+from repro.serving.extsort import ExternalSorter, decode_run_bytes
 from repro.serving.stream import (
     atomic_output,
     iter_csv_chunks,
@@ -405,7 +407,10 @@ class ShardCoordinator:
             self._run_blocks(csv_path, label_column, delimiter, _adopt)
             n_rows = sorter.n_rows
             head_entries = write_ranking(
-                sorter.ranked(), output_path, head=head, delimiter=delimiter
+                sorter.ranked().blocks,
+                output_path,
+                head=head,
+                delimiter=delimiter,
             )
         return n_rows, head_entries
 
@@ -425,7 +430,7 @@ class ShardCoordinator:
         has been written, so the output order is the input order.
         """
         output_path = pathlib.Path(output_path)
-        finished: Dict[int, List[list]] = {}
+        finished: Dict[int, List[Tuple[str, str]]] = {}
         next_to_write = 0
         n_scored = 0
         with atomic_output(output_path) as handle:
@@ -443,21 +448,21 @@ class ShardCoordinator:
             def _stash(block: _Block, data: bytes) -> None:
                 # The run is rank-ordered; flip it back to input order
                 # by the global row index (contiguous within a block).
-                entries = sorted(
-                    iter_run_bytes(
-                        data, f"run for block {block.index}"
-                    ),
-                    key=lambda entry: entry[1],
+                neg_scores, row_indices, labels = decode_run_bytes(
+                    data, f"run for block {block.index}"
                 )
-                if len(entries) != len(block.labels):
+                if len(labels) != len(block.labels):
                     raise ShardJobError(
-                        f"block {block.index} returned {len(entries)} "
+                        f"block {block.index} returned {len(labels)} "
                         f"rows, expected {len(block.labels)}"
                     )
-                finished[block.index] = [
-                    [label, repr(-neg_score)]
-                    for neg_score, _, label in entries
-                ]
+                order = np.argsort(row_indices)
+                finished[block.index] = list(
+                    zip(
+                        map(labels.__getitem__, order.tolist()),
+                        map(repr, (-neg_scores[order]).tolist()),
+                    )
+                )
                 _write_ready()
 
             self._run_blocks(csv_path, label_column, delimiter, _stash)

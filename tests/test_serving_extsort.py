@@ -36,7 +36,9 @@ from repro.serving import (
     score_batch,
     stream_rank_csv,
 )
-from repro.serving.extsort import _iter_run, _write_run, pack_run_bytes
+from repro.serving import extsort
+from repro.serving.extsort import _RunReader, _write_run, pack_run_bytes
+from repro.serving.stream import write_ranking
 
 ALPHA = np.array([1.0, 1.0, -1.0])
 N_ROWS = 157  # matches the streaming suite: not a multiple of any chunk
@@ -70,6 +72,23 @@ def _reference(scores, labels):
 
 def _drain(sorter):
     return [(label, score) for _, label, score in sorter.ranked()]
+
+
+def _write_entries(path, entries):
+    """Write ``(neg_score, row_index, label)`` entries as one run file."""
+    neg_scores, row_indices, labels = zip(*entries)
+    _write_run(
+        path,
+        [(np.array(neg_scores), np.array(row_indices), list(labels))],
+    )
+
+
+def _iter_entries(path):
+    """Read a run file back as entries, one decoded block at a time."""
+    reader = _RunReader(path)
+    while reader.fill():
+        neg_scores, row_indices, labels = reader.take(None)
+        yield from zip(neg_scores.tolist(), row_indices.tolist(), labels)
 
 
 class TestExternalSorter:
@@ -213,40 +232,39 @@ class TestSpillFileCleanup:
         assert not spill_dir.exists()
 
     def test_abandoned_ranked_iterator_closes_run_files(self, monkeypatch):
-        """Closing (or dropping) a half-consumed ``ranked()`` iterator
-        must close every run-file stream *immediately* — the shard
+        """Closing a half-consumed ``ranked()`` view, or its block
+        iterator, must close every run file *immediately* — the shard
         coordinator abandons merges when a job aborts, and waiting for
         garbage collection to finalise the readers would leave fds
         open past the spill directory's removal."""
-        import inspect
-
-        from repro.serving import extsort
-
         opened = []
-        real_iter_run = extsort._iter_run
 
-        def _recording_iter_run(path):
-            generator = real_iter_run(path)
-            opened.append(generator)
-            return generator
+        def _recording_reader(*args, **kwargs):
+            reader = _RunReader(*args, **kwargs)
+            opened.append(reader)
+            return reader
 
-        monkeypatch.setattr(extsort, "_iter_run", _recording_iter_run)
-        with ExternalSorter(memory_budget_rows=10) as sorter:
-            sorter.add(
-                [f"r{i}" for i in range(30)], np.linspace(0, 1, 30)
-            )
-            ranked = sorter.ranked()
-            assert next(ranked)[0] == 1
-            assert len(opened) == 3  # all three runs open for the merge
-            assert any(
-                inspect.getgeneratorstate(g) != "GEN_CLOSED"
-                for g in opened
-            )
-            ranked.close()  # abandon mid-merge
-            assert all(
-                inspect.getgeneratorstate(g) == "GEN_CLOSED"
-                for g in opened
-            )
+        monkeypatch.setattr(extsort, "_RunReader", _recording_reader)
+        # Small reads keep every run file open well into the merge.
+        monkeypatch.setattr(extsort, "_READ_BYTES", 64)
+        for view in ("rows", "blocks"):
+            opened.clear()
+            with ExternalSorter(memory_budget_rows=10) as sorter:
+                sorter.add(
+                    [f"r{i}" for i in range(30)], np.linspace(0, 1, 30)
+                )
+                ranked = sorter.ranked()
+                assert len(opened) == 3  # one reader per run
+                if view == "rows":
+                    assert next(ranked)[0] == 1
+                    abandoned = ranked
+                else:
+                    abandoned = ranked.blocks
+                    labels, _ = next(abandoned)
+                    assert 0 < len(labels) < 30
+                assert all(reader._handle for reader in opened), view
+                abandoned.close()  # abandon mid-merge
+                assert not any(reader._handle for reader in opened), view
 
 
 class TestSorterContract:
@@ -283,14 +301,14 @@ class TestSorterContract:
         from repro.core.exceptions import DataValidationError
 
         path = tmp_path / "run.bin"
-        _write_run(path, [(-0.5, 0, "hello")])
+        _write_entries(path, [(-0.5, 0, "hello")])
         data = path.read_bytes()
         path.write_bytes(data[:-3])  # cut the label short
         with pytest.raises(DataValidationError, match="truncated run file"):
-            list(_iter_run(path))
+            list(_iter_entries(path))
         path.write_bytes(data[:10])  # cut the record head short
         with pytest.raises(DataValidationError, match="truncated run file"):
-            list(_iter_run(path))
+            list(_iter_entries(path))
 
     def test_run_larger_than_a_read_block_round_trips(self, tmp_path):
         # ~190 KB of records whose boundaries fall anywhere inside the
@@ -301,23 +319,23 @@ class TestSorterContract:
             for i in range(4000)
         ]
         entries.insert(1234, (-0.9, 99_999, "y" * 100_000))
-        _write_run(path, entries)
-        assert list(_iter_run(path)) == entries
+        _write_entries(path, entries)
+        assert list(_iter_entries(path)) == entries
         from repro.core.exceptions import DataValidationError
 
         data = path.read_bytes()
         path.write_bytes(data[:-5])  # cut the last label short
         seen = []
         with pytest.raises(DataValidationError, match="row 3999"):
-            for entry in _iter_run(path):
+            for entry in _iter_entries(path):
                 seen.append(entry)
         assert seen == entries[:-1]  # every complete record came first
 
     def test_unicode_labels_round_trip(self, tmp_path):
         path = tmp_path / "run.bin"
         entries = [(-0.9, 0, "Ελλάδα"), (-0.5, 1, "日本"), (-0.1, 2, "øre")]
-        _write_run(path, entries)
-        assert list(_iter_run(path)) == entries
+        _write_entries(path, entries)
+        assert list(_iter_entries(path)) == entries
 
 
 def _tied_block():
@@ -375,6 +393,167 @@ class TestRunFormatBytes:
             "70a7bb7652f04dd8194ce0b420e125cd878217d073ccf1f60ec2d0bdb935894f"
         )
         assert got == _reference(scores, labels)
+
+
+class TestBlockMerge:
+    """Edge cases of the block merge, each checked byte for byte
+    against ``save_ranking_csv(build_ranking_list(...))``."""
+
+    @staticmethod
+    def _rank(tmp_path, labels, scores, chunk=None, **sorter_kwargs):
+        """``(csv_bytes, block_sizes, sorter)`` of one block-path rank."""
+        chunk = chunk or max(len(labels), 1)
+        path = tmp_path / "blocks.csv"
+        sizes = []
+
+        def _sized(blocks):
+            for block_labels, block_scores in blocks:
+                sizes.append(len(block_labels))
+                yield block_labels, block_scores
+
+        with ExternalSorter(**sorter_kwargs) as sorter:
+            for start in range(0, len(labels), chunk):
+                sorter.add(
+                    labels[start:start + chunk], scores[start:start + chunk]
+                )
+            write_ranking(_sized(sorter.ranked().blocks), path)
+        return path.read_bytes(), sizes, sorter
+
+    @staticmethod
+    def _oracle(tmp_path, labels, scores):
+        path = tmp_path / "oracle.csv"
+        save_ranking_csv(path, build_ranking_list(scores, labels=labels))
+        return path.read_bytes()
+
+    def test_cut_inside_ties_that_span_runs(self, tmp_path, monkeypatch):
+        # Three long runs of equal scores, dealt over six spilled runs,
+        # read back ~8 records at a time: merge steps cut inside a tie.
+        monkeypatch.setattr(extsort, "_READ_BYTES", 200)
+        rng = np.random.default_rng(11)
+        scores = rng.permutation(np.repeat([0.9, 0.5, 0.1], 200))
+        labels = [f"t{i:03d}" for i in range(600)]
+        got, sizes, sorter = self._rank(
+            tmp_path, labels, scores, memory_budget_rows=100
+        )
+        assert sorter.runs_spilled == 6
+        assert got == self._oracle(tmp_path, labels, scores)
+        ranked = np.sort(scores)[::-1]
+        boundaries = np.cumsum(sizes)[:-1]
+        assert any(
+            ranked[b - 1] == ranked[b] for b in boundaries
+        ), "no merge step ended inside a tie"
+
+    def test_blocks_ending_on_the_same_score(self, tmp_path, monkeypatch):
+        # Two runs with the same scores and equal-length labels decode
+        # into blocks that end on the same score; only the earlier
+        # row's run may be drained to that score.
+        monkeypatch.setattr(extsort, "_READ_BYTES", 9 * 27)  # 9 records
+        half = np.repeat(np.linspace(1.0, 0.0, 12), 5)
+        scores = np.concatenate([half, half])
+        labels = [f"same{i:03d}" for i in range(scores.size)]
+        first_blocks = [
+            extsort._decode_records(
+                pack_run_bytes(labels[start:start + half.size], half, start)[
+                    :extsort._READ_BYTES
+                ]
+            )[0]
+            for start in (0, half.size)
+        ]
+        assert [len(block[2]) for block in first_blocks] == [9, 9]
+        assert first_blocks[0][0][-1] == first_blocks[1][0][-1]
+        got, sizes, sorter = self._rank(
+            tmp_path, labels, scores, memory_budget_rows=half.size
+        )
+        assert sorter.runs_spilled == 2
+        assert len(sizes) > 2
+        assert got == self._oracle(tmp_path, labels, scores)
+
+    def test_one_row_runs(self, tmp_path):
+        rng = np.random.default_rng(12)
+        scores = rng.choice([0.25, 0.5, 0.75], size=40)
+        labels = [f"o{i}" for i in range(40)]
+        got, _, sorter = self._rank(
+            tmp_path, labels, scores, chunk=3, memory_budget_rows=1
+        )
+        assert sorter.runs_spilled == 40
+        assert got == self._oracle(tmp_path, labels, scores)
+
+    def test_multibyte_label_straddling_a_read(self, tmp_path):
+        # Pick a label width that puts the first 64 KiB read boundary
+        # of the first run inside a three-byte character.
+        n_run = 3000
+        rng = np.random.default_rng(13)
+        scores = rng.uniform(size=2 * n_run)
+        for width in range(1, 12):
+            labels = [f"{i:05d}" + "日" * width for i in range(2 * n_run)]
+            run = pack_run_bytes(labels[:n_run], scores[:n_run])
+            if run[extsort._READ_BYTES] & 0xC0 == 0x80:  # continuation
+                break
+        else:
+            pytest.fail("no label width straddles the read boundary")
+        with ExternalSorter(memory_budget_rows=n_run) as sorter:
+            sorter.add(labels, scores)
+            assert sorter._run_paths[0].read_bytes() == run
+        got, _, _ = self._rank(
+            tmp_path, labels, scores, memory_budget_rows=n_run
+        )
+        assert got == self._oracle(tmp_path, labels, scores)
+
+    def test_multi_pass_collapse(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(extsort, "_READ_BYTES", 128)
+        rng = np.random.default_rng(14)
+        scores = rng.choice(np.linspace(0, 1, 6), size=300)
+        labels = [f"m{i:03d}" for i in range(300)]
+        got, _, sorter = self._rank(
+            tmp_path, labels, scores, memory_budget_rows=20, max_open_runs=2
+        )
+        assert sorter.runs_spilled == 15
+        assert sorter.merge_passes >= 2
+        assert got == self._oracle(tmp_path, labels, scores)
+
+    def test_unspilled_tail(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(extsort, "_READ_BYTES", 100)
+        rng = np.random.default_rng(15)
+        scores = rng.choice([0.0, -0.0, 0.5, 1.0], size=95)
+        labels = [f"u{i:02d}" for i in range(95)]
+        for budget in (30, 200):  # three runs and a 5-row tail; no runs
+            got, _, sorter = self._rank(
+                tmp_path, labels, scores, chunk=7, memory_budget_rows=budget
+            )
+            assert sorter.runs_spilled == 95 // budget
+            assert got == self._oracle(tmp_path, labels, scores)
+
+    def test_head_larger_than_input(self, tmp_path):
+        scores = np.array([0.2, 0.9, 0.2, 0.4])
+        labels = list("abcd")
+        top = build_ranking_list(scores, labels=labels).top(4)
+        for output in (None, tmp_path / "head.csv"):
+            with ExternalSorter(memory_budget_rows=2) as sorter:
+                sorter.add(labels, scores)
+                head = write_ranking(sorter.ranked().blocks, output, head=10)
+            assert head == top
+        assert (tmp_path / "head.csv").read_bytes() == self._oracle(
+            tmp_path, labels, scores
+        )
+
+    def test_randomized_tie_heavy_bytes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2026)
+        for trial in range(20):
+            monkeypatch.setattr(
+                extsort, "_READ_BYTES", int(rng.integers(24, 400))
+            )
+            n = int(rng.integers(1, 500))
+            scores = rng.choice(np.linspace(-1.0, 1.0, 5), size=n)
+            labels = [f"r{trial}-{i}" + "é" * (i % 3) for i in range(n)]
+            got, _, _ = self._rank(
+                tmp_path,
+                labels,
+                scores,
+                chunk=int(rng.integers(1, n + 1)),
+                memory_budget_rows=int(rng.integers(1, n + 2)),
+                max_open_runs=int(rng.integers(2, 8)),
+            )
+            assert got == self._oracle(tmp_path, labels, scores), trial
 
 
 class TestStreamRankCsv:

@@ -298,20 +298,29 @@ class TestAtomicOutput:
         # rows are already in the temp file when the fault lands, the
         # moment the pre-fix code left a torn prefix at output_path.
         import repro.data.loaders as loaders
-        from repro.serving import stream_rank_csv
+        from repro.serving import extsort, stream_rank_csv
 
         model, _, csv_path, *_ = workload
-        real_row = loaders.ranking_csv_row
+        real_rows = loaders.ranking_csv_rows
+        written = []
 
-        def _faulting_row(position, label, score):
-            if position > N_ROWS // 2:
+        def _faulting_rows(first_position, labels, scores):
+            if first_position <= N_ROWS // 2 < first_position + len(labels):
                 raise RuntimeError("injected mid-write fault")
-            return real_row(position, label, score)
+            written.append(len(labels))
+            return real_rows(first_position, labels, scores)
 
-        monkeypatch.setattr(loaders, "ranking_csv_row", _faulting_row)
+        monkeypatch.setattr(loaders, "ranking_csv_rows", _faulting_rows)
+        # Spilled runs read back 256 bytes at a time merge in several
+        # blocks, so some are in the temp file when the fault lands.
+        monkeypatch.setattr(extsort, "_READ_BYTES", 256)
         out = tmp_path / "ranking.csv"
         with pytest.raises(RuntimeError, match="injected"):
-            stream_rank_csv(model, csv_path, out, label_column="id")
+            stream_rank_csv(
+                model, csv_path, out, label_column="id",
+                memory_budget_rows=40,
+            )
+        assert sum(written) > 0
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 

@@ -36,7 +36,11 @@ from repro.serving import (
     stream_rank_csv,
     stream_score_csv,
 )
-from repro.serving.extsort import ExternalSorter, iter_run_bytes, pack_run_bytes
+from repro.serving.extsort import (
+    ExternalSorter,
+    decode_run_bytes,
+    pack_run_bytes,
+)
 from repro.sharding import (
     ShardCoordinator,
     ShardJobError,
@@ -168,11 +172,17 @@ class TestRoundRobinRouting:
             coordinator._mark_dead("http://b:1")
 
 
+def _run_entries(data):
+    """A run's ``(neg_score, row_index, label)`` entries, in order."""
+    neg_scores, row_indices, labels = decode_run_bytes(data)
+    return list(zip(neg_scores.tolist(), row_indices.tolist(), labels))
+
+
 class TestRunBytes:
     def test_round_trip_is_sorted_with_global_indices(self):
         scores = np.array([0.3, 0.9, 0.1, 0.9])
         labels = ["w", "x", "y", "z"]
-        entries = list(iter_run_bytes(pack_run_bytes(labels, scores, 100)))
+        entries = _run_entries(pack_run_bytes(labels, scores, 100))
         # Ranking order: score desc, earlier row wins the exact tie.
         assert entries == [
             (-0.9, 101, "x"),
@@ -188,9 +198,9 @@ class TestRunBytes:
     def test_iter_rejects_truncation(self):
         run = pack_run_bytes(["alpha", "beta"], np.array([2.0, 1.0]))
         with pytest.raises(DataValidationError, match="trailing bytes"):
-            list(iter_run_bytes(run[:-8]))
+            decode_run_bytes(run[:-8])
         with pytest.raises(DataValidationError, match="label cut short"):
-            list(iter_run_bytes(run[:-1]))
+            decode_run_bytes(run[:-1])
 
     def test_adopted_runs_merge_like_one_box(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -257,7 +267,7 @@ class TestRankShardEndpoint:
         )
         assert status == 200
         assert headers["Content-Type"] == "application/octet-stream"
-        entries = list(iter_run_bytes(body))
+        entries = _run_entries(body)
         assert sorted(entries) == entries  # already in ranking order
         assert {row for _, row, _ in entries} == {64, 65, 66}
         by_row = {row - 64: -neg for neg, row, _ in entries}
@@ -270,7 +280,7 @@ class TestRankShardEndpoint:
             f"{base}/v1/models/demo/rank-shard",
             {"rows": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], "row_offset": 7},
         )
-        assert {label for _, _, label in iter_run_bytes(body)} == {"7", "8"}
+        assert {label for _, _, label in _run_entries(body)} == {"7", "8"}
 
     def test_single_row_is_rejected(self, served):
         base, _ = served
