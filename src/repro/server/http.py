@@ -29,15 +29,24 @@ Endpoints
     Like ``score`` with optional ``"labels"``; returns the full
     ranking list, best first.
 ``POST /v1/models/<name>/rank-shard``
-    Distributed-rank worker half (see :mod:`repro.sharding`): body
-    ``{"rows": [[..], ..], "labels": [..], "row_offset": N}`` scores
+    Distributed-rank worker half (see :mod:`repro.sharding`): scores
     one contiguous block of a larger job and returns the block sorted
     in the :mod:`repro.serving.extsort` run-file format
     (``application/octet-stream``), with global row indices offset by
     ``row_offset`` so runs from disjoint blocks k-way merge into
-    exactly the single-box ranking.  Families whose scores are
-    batch-relative (``pointwise_scores = False``) are refused with
-    ``422`` — splitting their batches would change the scores.
+    exactly the single-box ranking.  The body is one binary *block
+    frame* (``Content-Type: application/octet-stream``; codec
+    :func:`~repro.serving.extsort.pack_block_frame`), all
+    little-endian: an ``i8 row_offset``, ``u4 n_rows``, ``u4 n_cols``
+    head; ``n_rows * n_cols`` ``f8`` values, row-major; ``n_rows``
+    ``u4`` label byte lengths; the labels' UTF-8 bytes, concatenated.
+    It is ``400`` when the Content-Type is anything else, the head is
+    short, the length is not exactly what the head and label lengths
+    imply, there are rows but 0 columns, a label is not UTF-8, or
+    ``row_offset`` is negative or puts the last row's index beyond
+    ``2**63 - 1``.  Families whose scores are batch-relative
+    (``pointwise_scores = False``) are refused with ``422`` —
+    splitting their batches would change the scores.
 
 Error contract: malformed JSON or a body of the wrong shape is ``400``;
 an unregistered model name is ``404``; structurally valid input the
@@ -107,7 +116,7 @@ from repro.server.batching import MicroBatcher
 from repro.server.metrics import ServerMetrics
 from repro.server.registry import ModelRegistry, UnknownModelError
 from repro.serving.batch import score_batch
-from repro.serving.extsort import pack_run_bytes
+from repro.serving.extsort import pack_run_bytes, unpack_block_frame
 
 #: ``/v1/models/<name>/score``, ``.../rank`` and ``.../rank-shard``.
 _MODEL_ROUTE = re.compile(r"^/v1/models/([^/]+)/(score|rank-shard|rank)$")
@@ -643,7 +652,10 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
     ) -> Tuple[int, dict, int]:
         trace = self._trace
         with trace.span("parse"):
-            body = self._read_json_body()
+            if action == "rank-shard":
+                labels, X, row_offset = self._read_block_frame()
+            else:
+                body = self._read_json_body()
         with trace.span("registry"):
             try:
                 model = self.server.registry.get(name)
@@ -656,26 +668,20 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         )
 
         with trace.span("validate"):
-            X, single, labels = self._parse_scoring_body(body, action)
-            row_offset = 0
-            if action == "rank-shard":
-                if single:
-                    raise _RequestError(
-                        400, "rank-shard requires 'rows' (a block), not 'row'"
-                    )
-                row_offset = self._parse_row_offset(body)
-                if not getattr(model, "pointwise_scores", True):
-                    # Batch-relative families (rank aggregators) score a
-                    # row against the whole batch; scoring a shard's
-                    # slice would silently change every score, so the
-                    # coordinator must keep these single-box.
-                    raise _RequestError(
-                        422,
-                        f"model {name!r} "
-                        f"(family {getattr(model, 'family', '?')}) scores "
-                        f"batch-relatively (pointwise_scores=False) and "
-                        f"cannot be sharded",
-                    )
+            if action != "rank-shard":
+                X, single, labels = self._parse_scoring_body(body, action)
+            elif not getattr(model, "pointwise_scores", True):
+                # Batch-relative families (rank aggregators) score a
+                # row against the whole batch; scoring a shard's slice
+                # would silently change every score, so the coordinator
+                # must keep these single-box.
+                raise _RequestError(
+                    422,
+                    f"model {name!r} "
+                    f"(family {getattr(model, 'family', '?')}) scores "
+                    f"batch-relatively (pointwise_scores=False) and "
+                    f"cannot be sharded",
+                )
         if X.shape[0] == 0 and not model.is_fitted:
             # An empty batch skips score_batch (nothing to score), but
             # the documented taxonomy still promises 409 for unfitted
@@ -701,9 +707,8 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
             # file with *global* row indices: the coordinator adopts
             # the bytes verbatim and k-way merges runs from every
             # shard into exactly the ranking one box would produce
-            # (same rank_entry_key tie-break end to end).
-            if labels is None:
-                labels = [str(row_offset + idx) for idx in range(n)]
+            # (same rank_entry_key tie-break end to end).  It also
+            # bounds ``row_offset`` (400 via DataValidationError).
             run = pack_run_bytes(labels, scores, base_row=row_offset)
             return 200, _RunBytes(run), n
         ranking = build_ranking_list(scores, labels=labels)
@@ -723,6 +728,41 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
     # Request parsing
     # ------------------------------------------------------------------
     def _read_json_body(self) -> dict:
+        raw = self._read_raw_body()
+        try:
+            body = json.loads(raw)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise _RequestError(400, f"malformed JSON body: {exc}") from None
+        if not isinstance(body, dict):
+            raise _RequestError(
+                400, "body must be a JSON object with 'row' or 'rows'"
+            )
+        return body
+
+    def _read_block_frame(self) -> Tuple[list, np.ndarray, int]:
+        """A ``rank-shard`` body: ``(labels, X, row_offset)``.
+
+        The body is read in full before any check, so a refused frame
+        leaves the keep-alive connection in step.
+        """
+        raw = self._read_raw_body()
+        content_type = self.headers.get("Content-Type") or ""
+        if content_type.split(";")[0].strip() != "application/octet-stream":
+            raise _RequestError(
+                400,
+                f"rank-shard takes a binary block frame "
+                f"(Content-Type: application/octet-stream), got "
+                f"Content-Type {content_type!r}",
+            )
+        try:
+            return unpack_block_frame(raw)
+        except DataValidationError as exc:
+            raise _RequestError(400, str(exc)) from None
+
+    def _read_raw_body(self) -> bytes:
+        """The request body, under the Content-Length rules: absent is
+        ``411``, unparseable or negative ``400``, beyond
+        :data:`MAX_BODY_BYTES` ``413`` (each closes the connection)."""
         length = self.headers.get("Content-Length")
         if length is None:
             self.close_connection = True
@@ -743,16 +783,7 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
             raise _RequestError(
                 413, f"body of {n_bytes} bytes exceeds {MAX_BODY_BYTES}"
             )
-        raw = self._read_body_bytes(n_bytes)
-        try:
-            body = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _RequestError(400, f"malformed JSON body: {exc}") from None
-        if not isinstance(body, dict):
-            raise _RequestError(
-                400, "body must be a JSON object with 'row' or 'rows'"
-            )
-        return body
+        return self._read_body_bytes(n_bytes)
 
     def _read_body_bytes(self, n_bytes: int) -> bytes:
         """Read exactly ``n_bytes`` of body under the whole-body deadline.
@@ -794,17 +825,6 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         return b"".join(parts)
 
     @staticmethod
-    def _parse_row_offset(body: dict) -> int:
-        """The shard block's global index of row 0 (``row_offset``)."""
-        value = body.get("row_offset", 0)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise _RequestError(
-                400, f"'row_offset' must be a non-negative integer, "
-                f"got {value!r}"
-            )
-        return value
-
-    @staticmethod
     def _parse_scoring_body(
         body: dict, action: str
     ) -> Tuple[np.ndarray, bool, Optional[list]]:
@@ -839,7 +859,7 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
             )
         labels = body.get("labels")
         if labels is not None:
-            if action not in ("rank", "rank-shard"):
+            if action != "rank":
                 raise _RequestError(
                     400, "'labels' is only accepted by the rank endpoints"
                 )
@@ -910,7 +930,7 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
 
         Two hazards live here, both once-shipped bugs.  First, the
         drain must run under the same whole-body deadline as
-        :meth:`_read_json_body` — a client POSTing to an unrouted path
+        :meth:`_read_raw_body` — a client POSTing to an unrouted path
         and dripping bytes would otherwise pin this handler thread
         indefinitely (the 408 from :meth:`_read_body_bytes` propagates
         to the client and closes the connection).  Second, whenever the

@@ -53,6 +53,14 @@ Record format (little-endian, one record per row)::
 ``neg_score`` is stored pre-negated, so a run's records are in
 ascending ``(neg_score, row_index)`` order and the label bytes never
 participate in a comparison.
+
+A run is what a shard sends back; a *block frame* is what it is sent
+(:func:`pack_block_frame` / :func:`unpack_block_frame`), one
+contiguous block of labelled input rows, all little-endian::
+
+    i8 row_offset | u4 n_rows | u4 n_cols
+    | f8 X[n_rows, n_cols] (row-major) | u4 label_len[n_rows]
+    | the labels' utf-8 bytes, concatenated
 """
 
 from __future__ import annotations
@@ -82,6 +90,13 @@ DEFAULT_MAX_OPEN_RUNS = 64
 #: Fixed-width record head: ``neg_score`` f8, ``row_index`` i8,
 #: ``label_len`` u4 (the utf-8 label bytes follow).
 _RECORD_HEAD = struct.Struct("<dqI")
+
+#: Largest global row index a run record can carry (its ``i8``).
+_MAX_ROW_INDEX = 2**63 - 1
+
+#: Block frame head: ``row_offset`` i8, ``n_rows`` u4, ``n_cols`` u4
+#: (the values, label lengths and label bytes follow).
+_FRAME_HEAD = struct.Struct("<qII")
 
 #: Rows as columns: ``(neg_scores f8, row_indices i8, labels)``.
 _Columns = Tuple[np.ndarray, np.ndarray, List[str]]
@@ -164,7 +179,13 @@ def pack_run_bytes(
         raise DataValidationError(
             f"{len(labels)} labels for {scores.size} scores"
         )
-    return _pack_records(*_ranked_columns(labels, scores, int(base_row)))
+    base_row = int(base_row)
+    if base_row < 0 or base_row + scores.size - 1 > _MAX_ROW_INDEX:
+        raise DataValidationError(
+            f"row_offset {base_row} with {scores.size} rows puts row "
+            f"indices outside 0..{_MAX_ROW_INDEX}"
+        )
+    return _pack_records(*_ranked_columns(labels, scores, base_row))
 
 
 def _decode_records(data: bytes) -> Tuple[_Columns, int]:
@@ -221,6 +242,86 @@ def decode_run_bytes(data: bytes, source: str = "run bytes") -> _Columns:
     if offset < len(data):
         _raise_truncated(data[offset:], source)
     return columns
+
+
+def pack_block_frame(
+    labels: Sequence[str], X: np.ndarray, row_offset: int
+) -> bytes:
+    """Pack one block of labelled rows as a block frame.
+
+    ``X`` is the block's ``(n_rows, n_cols)`` matrix and ``row_offset``
+    the global index of its first row; the frame carries the values
+    bit-exactly.  This is the request body of a shard's ``rank-shard``
+    call.
+    """
+    X = np.ascontiguousarray(X, dtype="<f8")
+    if X.ndim != 2 or len(labels) != X.shape[0]:
+        raise DataValidationError(
+            f"{len(labels)} labels for a block of shape {X.shape}"
+        )
+    data = list(map(_encode_label, labels))
+    lengths = np.fromiter(map(len, data), dtype="<u4", count=len(data))
+    return b"".join(
+        [
+            _FRAME_HEAD.pack(row_offset, *X.shape),
+            X.tobytes(),
+            lengths.tobytes(),
+            *data,
+        ]
+    )
+
+
+def unpack_block_frame(data: bytes) -> Tuple[List[str], np.ndarray, int]:
+    """Decode a block frame into ``(labels, X, row_offset)``.
+
+    ``X`` is a read-only view of ``data``.  Raises
+    :class:`DataValidationError` naming the problem when the frame's
+    length is not exactly what its head and label lengths imply, when
+    it has rows but no columns, or when a label is not UTF-8.
+    ``row_offset`` is returned as sent; :func:`pack_run_bytes` bounds
+    it.
+    """
+    if len(data) < _FRAME_HEAD.size:
+        raise DataValidationError(
+            f"block frame of {len(data)} bytes is shorter than its "
+            f"{_FRAME_HEAD.size}-byte head"
+        )
+    row_offset, n_rows, n_cols = _FRAME_HEAD.unpack_from(data)
+    if n_rows and not n_cols:
+        raise DataValidationError(
+            f"block frame has {n_rows} rows but 0 columns"
+        )
+    values_end = _FRAME_HEAD.size + 8 * n_rows * n_cols
+    lengths_end = values_end + 4 * n_rows
+    if len(data) < lengths_end:
+        raise DataValidationError(
+            f"block frame of {len(data)} bytes is shorter than the "
+            f"{lengths_end} its head ({n_rows} x {n_cols}) implies"
+        )
+    label_ends = np.cumsum(
+        np.frombuffer(data, dtype="<u4", count=n_rows, offset=values_end),
+        dtype=np.int64,
+    )
+    expected = lengths_end + int(label_ends[-1] if n_rows else 0)
+    if len(data) != expected:
+        raise DataValidationError(
+            f"block frame is {len(data)} bytes; its head and label "
+            f"lengths imply {expected}"
+        )
+    X = np.frombuffer(
+        data, dtype="<f8", count=n_rows * n_cols, offset=_FRAME_HEAD.size
+    ).reshape(n_rows, n_cols)
+    stops = (label_ends + lengths_end).tolist()
+    try:
+        labels = [
+            data[start:stop].decode("utf-8")
+            for start, stop in zip([lengths_end] + stops[:-1], stops)
+        ]
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(
+            f"block frame labels are not valid UTF-8: {exc}"
+        ) from None
+    return labels, X, row_offset
 
 
 class _RunReader:

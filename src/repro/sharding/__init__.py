@@ -10,8 +10,11 @@ for it:
   *merge-anywhere* — a run sorted on any host merges exactly with runs
   from any other host, because entries compare as
   ``(neg_score, global_row_index)`` tuples;
-- the daemon's ``POST /v1/models/<name>/rank-shard`` endpoint scores
-  one contiguous block of rows and ships it back as one such run;
+- the daemon's ``POST /v1/models/<name>/rank-shard`` endpoint takes
+  one contiguous block of rows as a binary block frame
+  (:func:`~repro.serving.extsort.pack_block_frame`), scores it and
+  ships it back as one such run, so neither direction re-encodes a
+  float as text;
 - the ``/metrics`` latency histograms use fixed shared bucket bounds,
   so shard metrics sum into an exact coordinator-level roll-up.
 

@@ -5,13 +5,16 @@ coordinator in fixed-size *blocks* of consecutive rows, dealt
 round-robin over the live shard daemons: block ``i`` goes to
 ``live[i % len(live)]``, where ``live`` is the shard URLs in the order
 given minus the dead ones.  Every shard serves the same model and keeps
-no state between blocks, so any shard can take any block.  A shard
-scores its block through
-``POST /v1/models/<name>/rank-shard`` and returns the block as one
-sorted :mod:`repro.serving.extsort` run file carrying *global* row
-indices.  The coordinator adopts every run (decoded and checked for
-ranking order) into an :class:`~repro.serving.extsort.ExternalSorter`
-and merges them a block at a time under the usual fd budget, so the
+no state between blocks, so any shard can take any block.  Each block
+is POSTed as one binary block frame
+(:func:`~repro.serving.extsort.pack_block_frame`: labels, ``float64``
+values bit for bit, and the block's global ``row_offset``) to
+``POST /v1/models/<name>/rank-shard``; the shard scores it and returns
+the block as one sorted :mod:`repro.serving.extsort` run file carrying
+*global* row indices.  The coordinator adopts every run (decoded and
+checked for ranking order) into an
+:class:`~repro.serving.extsort.ExternalSorter` and merges them a
+block at a time under the usual fd budget, so the
 final ``position,label,score`` CSV is **byte-identical to a single
 box**: scores come from the same ``score_batch`` path, ties break on
 the same ``(score, input row)`` key, rows are formatted by the same
@@ -52,7 +55,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError, ReproError
-from repro.serving.extsort import ExternalSorter, decode_run_bytes
+from repro.serving.extsort import (
+    ExternalSorter,
+    decode_run_bytes,
+    pack_block_frame,
+)
 from repro.serving.stream import (
     atomic_output,
     iter_csv_chunks,
@@ -94,7 +101,7 @@ class _Block:
     index: int
     row_offset: int
     labels: List[str]
-    rows: List[list]
+    rows: np.ndarray  # (n_rows, n_cols) float64
     shard: str = field(default="", compare=False)  # who scored it
 
 
@@ -248,17 +255,10 @@ class ShardCoordinator:
             return data
 
     def _post_once(self, url: str, block: _Block) -> bytes:
-        body = json.dumps(
-            {
-                "rows": block.rows,
-                "labels": block.labels,
-                "row_offset": block.row_offset,
-            }
-        ).encode("utf-8")
         request = urllib.request.Request(
             f"{url}/v1/models/{self.model_name}/rank-shard",
-            data=body,
-            headers={"Content-Type": "application/json"},
+            data=pack_block_frame(block.labels, block.rows, block.row_offset),
+            headers={"Content-Type": "application/octet-stream"},
             method="POST",
         )
         sheds = 0
@@ -319,7 +319,7 @@ class ShardCoordinator:
                 index=index,
                 row_offset=row_offset,
                 labels=list(chunk.labels),
-                rows=chunk.X.tolist(),
+                rows=chunk.X,
             )
             row_offset += len(chunk.labels)
 

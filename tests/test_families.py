@@ -29,6 +29,7 @@ from repro.families import (
     resolve_payload_family,
 )
 from repro.serving import score_batch
+from repro.serving.extsort import pack_block_frame, unpack_block_frame
 from repro.serving.persistence import (
     MANIFEST_NAME,
     check_model_path,
@@ -187,6 +188,18 @@ class TestRoundTripMatrix:
                     name,
                     chunk,
                 )
+
+    def test_scoring_never_writes_its_input(self, fitted_families):
+        # A shard scores a block straight from its frame's bytes, a
+        # read-only view: a family writing into its input would raise
+        # here rather than need a copy on every request.
+        for name, (model, X_score) in fitted_families.items():
+            labels = [""] * len(X_score)
+            _, X, _ = unpack_block_frame(pack_block_frame(labels, X_score, 0))
+            assert not X.flags.writeable
+            assert np.array_equal(
+                score_batch(model, X), score_batch(model, X_score)
+            ), name
 
 
 class TestManifestLayout:

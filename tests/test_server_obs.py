@@ -60,6 +60,7 @@ from repro.obs.histogram import (
     percentile_from_buckets,
 )
 from repro.serving import save_model
+from repro.serving.extsort import pack_block_frame
 
 ALPHA = np.array([1.0, 1.0, -1.0])
 SCORE_ENDPOINT = "POST /v1/models/{name}/score"
@@ -522,6 +523,7 @@ class TestOneMetricsPath:
     def test_every_route_has_its_own_label(self, traced_server):
         _, base = traced_server
         rows = json.dumps({"rows": [[1.0, 2.0, 3.0]] * 2}).encode()
+        frame = pack_block_frame(["a", "b"], np.ones((2, 3)), 0)
         status, headers, _ = _request(base, "GET", "/healthz")
         assert status == 200
         calls = [
@@ -530,7 +532,7 @@ class TestOneMetricsPath:
             ("GET", "/v1/models/demo", None, 200),
             ("POST", "/v1/models/demo/score", rows, 200),
             ("POST", "/v1/models/demo/rank", rows, 200),
-            ("POST", "/v1/models/demo/rank-shard", rows, 200),
+            ("POST", "/v1/models/demo/rank-shard", frame, 200),
             (
                 "GET",
                 f"/v1/debug/trace/{headers['X-Request-Id']}",
@@ -541,8 +543,12 @@ class TestOneMetricsPath:
             ("GET", "/nope", None, 404),
             ("POST", "/nope", b"{}", 404),
         ]
+        octet = {"Content-Type": "application/octet-stream"}
         for method, path, body, expected in calls:
-            assert _request(base, method, path, body)[0] == expected, path
+            headers = octet if body is frame else None
+            assert _request(base, method, path, body, headers)[0] == (
+                expected
+            ), path
         endpoints = json.loads(_request(base, "GET", "/metrics")[2])[
             "endpoints"
         ]

@@ -14,7 +14,9 @@ histograms exactly instead of averaging percentiles.
 from __future__ import annotations
 
 import filecmp
+import http.client
 import json
+import struct
 import threading
 import urllib.error
 import urllib.request
@@ -30,6 +32,7 @@ from repro.data.synthetic import sample_monotone_cloud
 from repro.families import build_model
 from repro.obs.histogram import N_LATENCY_BUCKETS, percentile_from_buckets
 from repro.server import ModelRegistry, ScoringHTTPServer
+from repro.server import http as server_http
 from repro.serving import (
     save_model,
     score_batch,
@@ -39,7 +42,9 @@ from repro.serving import (
 from repro.serving.extsort import (
     ExternalSorter,
     decode_run_bytes,
+    pack_block_frame,
     pack_run_bytes,
+    unpack_block_frame,
 )
 from repro.sharding import (
     ShardCoordinator,
@@ -94,15 +99,20 @@ def fleet(workload):
         thread.join(timeout=5)
 
 
-def _post_raw(url: str, payload: dict):
+def _post_raw(url: str, payload):
+    """POST a JSON object, or ``bytes`` as a block frame."""
+    if isinstance(payload, bytes):
+        data, headers = payload, {"Content-Type": "application/octet-stream"}
+    else:
+        data, headers = json.dumps(payload).encode(), {}
     request = urllib.request.Request(
-        url, data=json.dumps(payload).encode(), method="POST"
+        url, data=data, headers=headers, method="POST"
     )
     with urllib.request.urlopen(request, timeout=10) as response:
         return response.status, response.headers, response.read()
 
 
-def _post_error(url: str, payload: dict):
+def _post_error(url: str, payload):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post_raw(url, payload)
     return excinfo.value.code, json.loads(excinfo.value.read())
@@ -195,6 +205,15 @@ class TestRunBytes:
         with pytest.raises(DataValidationError, match="2 labels for 3"):
             pack_run_bytes(["a", "b"], np.array([1.0, 2.0, 3.0]))
 
+    def test_pack_bounds_row_indices_to_int64(self):
+        top = 2**63 - 1
+        assert _run_entries(pack_run_bytes(["a"], np.array([1.0]), top)) == [
+            (-1.0, top, "a")
+        ]
+        for base_row, n in ((-1, 1), (top, 2), (top - 1, 3), (top + 1, 1)):
+            with pytest.raises(DataValidationError, match="row_offset"):
+                pack_run_bytes(["x"] * n, np.ones(n), base_row)
+
     def test_iter_rejects_truncation(self):
         run = pack_run_bytes(["alpha", "beta"], np.array([2.0, 1.0]))
         with pytest.raises(DataValidationError, match="trailing bytes"):
@@ -248,6 +267,56 @@ class TestRunBytes:
             assert list(sorter.ranked()) == []
 
 
+def _frame(rows, labels, row_offset=0) -> bytes:
+    return pack_block_frame(labels, np.asarray(rows, dtype=float), row_offset)
+
+
+class TestBlockFrame:
+    EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_values_round_trip_bit_exactly(self, n_rows):
+        X = np.array([self.EXTREMES] * n_rows).reshape(n_rows, 4)
+        labels, got, row_offset = unpack_block_frame(
+            pack_block_frame(["r"] * n_rows, X, 41)
+        )
+        assert labels == ["r"] * n_rows and row_offset == 41
+        assert got.shape == (n_rows, 4)
+        assert got.tobytes() == X.tobytes()  # -0.0 keeps its sign bit
+
+    def test_labels_round_trip(self):
+        labels = ["", "naïve — 東京 🚀", "a,b", 'say "hi"', "two\nlines"]
+        X = np.arange(10.0).reshape(5, 2)
+        got, _, _ = unpack_block_frame(pack_block_frame(labels, X, 0))
+        assert got == labels
+
+    def test_pack_rejects_mismatched_labels(self):
+        with pytest.raises(DataValidationError, match="2 labels"):
+            pack_block_frame(["a", "b"], np.ones((3, 2)), 0)
+
+
+def _malformed_frames():
+    """``(id, body, content_type, error fragment)`` per 400 case."""
+    good = _frame([[0.1, 0.2, 0.3]], ["p"])
+    no_cols = struct.pack("<qII", 0, 2, 0) + struct.pack("<II", 1, 1) + b"ab"
+    bad_utf8 = (
+        struct.pack("<qII", 0, 1, 3)
+        + np.array([0.1, 0.2, 0.3]).tobytes()
+        + struct.pack("<I", 2)
+        + b"\xff\xfe"
+    )
+    octet = "application/octet-stream"
+    return [
+        ("json-content-type", good, "application/json", "block frame"),
+        ("short-head", good[:10], octet, "16-byte head"),
+        ("short-values", good[:30], octet, "its head (1 x 3) implies"),
+        ("extra-byte", good + b"!", octet, "label lengths imply"),
+        ("cut-label", good[:-1], octet, "label lengths imply"),
+        ("rows-without-columns", no_cols, octet, "0 columns"),
+        ("labels-not-utf8", bad_utf8, octet, "UTF-8"),
+    ]
+
+
 class TestRankShardEndpoint:
     @pytest.fixture(scope="class")
     def served(self, workload, tmp_path_factory):
@@ -258,12 +327,42 @@ class TestRankShardEndpoint:
         server.server_close()
         thread.join(timeout=5)
 
+    @staticmethod
+    def _refused_then_kept_alive(base, body, content_type):
+        """POST ``body`` to rank-shard; return ``(status, error)`` after
+        checking that a ``/score`` on the same connection still works."""
+        host, port = base.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request(
+                "POST",
+                "/v1/models/demo/rank-shard",
+                body=body,
+                headers={"Content-Type": content_type},
+            )
+            response = conn.getresponse()
+            status, error = response.status, json.loads(response.read())
+            sock = conn.sock
+            conn.request(
+                "POST",
+                "/v1/models/demo/score",
+                body=json.dumps({"row": [0.1, 0.2, 0.3]}),
+                headers={"Content-Type": "application/json"},
+            )
+            follow_up = conn.getresponse()
+            follow_up.read()
+            assert follow_up.status == 200
+            assert conn.sock is sock  # the same keep-alive connection
+        finally:
+            conn.close()
+        return status, error["error"]
+
     def test_returns_a_sorted_run_with_global_indices(self, served):
         base, model = served
         rows = [[0.2, 0.1, 0.9], [0.9, 0.8, 0.1], [0.5, 0.5, 0.5]]
         status, headers, body = _post_raw(
             f"{base}/v1/models/demo/rank-shard",
-            {"rows": rows, "labels": ["p", "q", "r"], "row_offset": 64},
+            _frame(rows, ["p", "q", "r"], row_offset=64),
         )
         assert status == 200
         assert headers["Content-Type"] == "application/octet-stream"
@@ -274,32 +373,80 @@ class TestRankShardEndpoint:
         expected = score_batch(model, np.asarray(rows))
         assert [by_row[i] for i in range(3)] == expected.tolist()
 
-    def test_default_labels_are_global_row_numbers(self, served):
+    def test_empty_labels_round_trip(self, served):
         base, _ = served
         _, _, body = _post_raw(
             f"{base}/v1/models/demo/rank-shard",
-            {"rows": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], "row_offset": 7},
+            _frame([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], ["", ""], 7),
         )
-        assert {label for _, _, label in _run_entries(body)} == {"7", "8"}
+        entries = _run_entries(body)
+        assert [label for _, _, label in entries] == ["", ""]
+        assert {row for _, row, _ in entries} == {7, 8}
 
     def test_single_row_is_rejected(self, served):
+        # Only block frames are accepted: a JSON body, even a
+        # well-formed one, is 400 and the error names the frame.
         base, _ = served
         code, body = _post_error(
             f"{base}/v1/models/demo/rank-shard",
             {"row": [0.1, 0.2, 0.3]},
         )
         assert code == 400
-        assert "requires 'rows'" in body["error"]
+        assert "block frame" in body["error"]
 
-    @pytest.mark.parametrize("offset", [-1, 1.5, "7", True, None])
-    def test_bad_row_offset_is_400(self, served, offset):
+    @pytest.mark.parametrize(
+        "offset, n_rows", [(-1, 1), (2**63 - 2, 3)], ids=["-1", "overflow"]
+    )
+    def test_bad_row_offset_is_400(self, served, offset, n_rows):
+        base, _ = served
+        status, error = self._refused_then_kept_alive(
+            base,
+            _frame([[0.1, 0.2, 0.3]] * n_rows, ["x"] * n_rows, offset),
+            "application/octet-stream",
+        )
+        assert status == 400
+        assert "row_offset" in error
+
+    def test_last_representable_row_offset_is_accepted(self, served):
+        base, _ = served
+        status, _, body = _post_raw(
+            f"{base}/v1/models/demo/rank-shard",
+            _frame([[0.1, 0.2, 0.3]], ["last"], 2**63 - 1),
+        )
+        assert status == 200
+        [(_, row, label)] = _run_entries(body)
+        assert (row, label) == (2**63 - 1, "last")
+
+    @pytest.mark.parametrize(
+        "body, content_type, fragment",
+        [case[1:] for case in _malformed_frames()],
+        ids=[case[0] for case in _malformed_frames()],
+    )
+    def test_malformed_frame_is_400(
+        self, served, body, content_type, fragment
+    ):
+        base, _ = served
+        status, error = self._refused_then_kept_alive(
+            base, body, content_type
+        )
+        assert status == 400
+        assert fragment in error
+
+    def test_nan_in_a_frame_is_422(self, served):
         base, _ = served
         code, body = _post_error(
             f"{base}/v1/models/demo/rank-shard",
-            {"rows": [[0.1, 0.2, 0.3]], "row_offset": offset},
+            _frame([[0.1, float("nan"), 0.3]], ["n"]),
         )
-        assert code == 400
-        assert "row_offset" in body["error"]
+        assert code == 422
+
+    def test_frame_over_the_body_limit_is_413(self, served, monkeypatch):
+        base, _ = served
+        frame = _frame([[0.1, 0.2, 0.3]] * 50, ["x"] * 50)
+        monkeypatch.setattr(server_http, "MAX_BODY_BYTES", len(frame) - 1)
+        code, body = _post_error(f"{base}/v1/models/demo/rank-shard", frame)
+        assert code == 413
+        assert "exceeds" in body["error"]
 
     def test_labels_stay_rejected_on_the_score_endpoint(self, served):
         base, _ = served
@@ -321,7 +468,7 @@ class TestRankShardEndpoint:
         try:
             code, body = _post_error(
                 f"{base}/v1/models/borda/rank-shard",
-                {"rows": cloud.X[:4].tolist(), "row_offset": 0},
+                _frame(cloud.X[:4], ["a", "b", "c", "d"]),
             )
             assert code == 422
             assert "cannot be sharded" in body["error"]
@@ -368,6 +515,32 @@ class TestCoordinator:
             csv_path, sharded, label_column="id"
         ) == N_ROWS
         assert filecmp.cmp(single, sharded, shallow=False)
+
+    def test_tie_heavy_jobs_are_byte_identical_to_one_box(
+        self, workload, fleet, tmp_path
+    ):
+        # Rows drawn from 12 distinct ones tie across every block;
+        # labels carry the characters a CSV writer must quote.  Both
+        # jobs ride frames.
+        model, *_ = workload
+        rng = np.random.default_rng(8)
+        n = 250
+        X = rng.uniform(size=(12, 3))[rng.integers(0, 12, size=n)]
+        labels = [f'r{i},"ü"\n' if i % 7 == 0 else f"r{i}" for i in range(n)]
+        csv_path = tmp_path / "ties.csv"
+        save_csv(csv_path, labels, X, ["a", "b", "c"], label_column="id")
+        assert np.unique(score_batch(model, X)).size <= 12
+        urls, _ = fleet
+        for job, single_box in (
+            ("rank_csv", stream_rank_csv),
+            ("score_csv", stream_score_csv),
+        ):
+            single = tmp_path / f"single-{job}.csv"
+            single_box(model, csv_path, single, label_column="id")
+            sharded = tmp_path / f"sharded-{job}.csv"
+            coordinator = ShardCoordinator(urls, "demo", rows_per_block=37)
+            getattr(coordinator, job)(csv_path, sharded, label_column="id")
+            assert filecmp.cmp(single, sharded, shallow=False), job
 
     def test_dead_shard_reroutes_with_exactly_once_output(
         self, workload, fleet, tmp_path
